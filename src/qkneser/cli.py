@@ -14,7 +14,7 @@ import time
 
 from . import ekr, twsolve
 from .errors import QKneserError, ResourceLimitError
-from .graph import build_qkneser, gauss, read_gr, write_gr
+from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
 from .qcount import (
     Params,
     Window,
@@ -83,8 +83,6 @@ def cmd_build(parser, args) -> int:
     g = build_qkneser(p, limit=args.limit)
     path = _out_path(args, f"kq{p.q}_n{p.n}_k{p.k}_t{p.t}.gr")
     write_gr(g, path)
-    from .graph import edge_count
-
     _emit([
         ("command", "build"),
         ("q", p.q), ("n", p.n), ("k", p.k), ("t", p.t),
@@ -164,7 +162,7 @@ def cmd_verify(parser, args) -> int:
 def cmd_solve(parser, args) -> int:
     start = time.monotonic()
     if args.gr:
-        g = read_gr(args.gr)
+        g = read_gr(args.gr, limit=args.limit)
         source = args.gr
     else:
         if None in (args.q, args.n, args.k, args.t):
@@ -220,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_build, required=True)
     p_build.add_argument("--format", choices=["gr"], default="gr")
     p_build.add_argument("--out", help="output path (default derived from params)")
-    p_build.add_argument("--limit", type=int, default=5000, help="vertex limit")
+    p_build.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
 
     p_dec = subs.add_parser("decompose",
                             help="build, star-decompose from a point pencil, "
                                  "validate, export a .td file")
     _add_param_flags(p_dec, required=True)
     p_dec.add_argument("--out", help="output path (default derived from params)")
-    p_dec.add_argument("--limit", type=int, default=5000, help="vertex limit")
+    p_dec.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
 
     p_ver = subs.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite", choices=sorted(SUITES))
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--budget-ms", type=int, dest="budget_ms",
                          help="wall-clock budget; 0 gives bounds only")
     p_solve.add_argument("--out", help="certificate path (.td or vertex list)")
-    p_solve.add_argument("--limit", type=int, default=5000, help="vertex limit")
+    p_solve.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
     return parser
 
 

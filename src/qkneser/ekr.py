@@ -83,7 +83,8 @@ def max_independent_set_exact(g: Graph, node_budget: int | None = None,
     comp = g.complement()
     r: CliqueResult = max_clique(comp.rows, node_budget=node_budget,
                                  time_budget=time_budget)
-    assert is_independent(g, r.members)
+    if not is_independent(g, r.members):
+        raise NotIndependentError("clique search returned a set that induces an edge")
     return MisResult(r.size, r.members, r.exact, r.nodes, r.elapsed)
 
 

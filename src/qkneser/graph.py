@@ -6,6 +6,12 @@ intersection has dimension < t.  Adjacency is stored as packed bit rows
 (Python ints), which the independent-set and treewidth solvers operate on
 directly.
 
+One code path builds adjacency, _meet_layers: u and v are non-adjacent iff
+they share a t-subspace, so the non-neighbours of u are the union of the
+point pencils of the t-subspaces of u.  That costs V * [k,t]_q big-integer
+ORs (V * [n-k,t-2k+n]_q on the complement side when 2k > n) instead of one
+intersection test per vertex pair.
+
 Includes a reader/writer for the PACE 2017 .gr format.
 """
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import MalformedFileError, TooLargeError
 from .gf import make_field
 from .qcount import Params, alpha_formula, degree_formula, gauss, tw_formula_applies, tw_formula_qkneser
-from .subspace import Subspace, enumerate_subspaces
+from .subspace import Subspace, canonicalize, enumerate_subspaces
 
 VERTEX_LIMIT = 5000
 
@@ -79,7 +85,8 @@ def max_degree(g: Graph) -> int:
 
 def edge_count(g: Graph) -> int:
     twice = sum(r.bit_count() for r in g.rows)
-    assert twice % 2 == 0
+    if twice % 2:
+        raise MalformedFileError(f"odd degree sum {twice}: adjacency rows are not symmetric")
     return twice // 2
 
 
@@ -90,65 +97,95 @@ def is_regular(g: Graph) -> bool:
     return all(r.bit_count() == d for r in g.rows)
 
 
-def vector_masks(labels: list[Subspace]) -> list[int]:
-    """Bitmask of member vectors per subspace; vector (c_0..c_{n-1}) maps to
-    bit sum_i c_i * q^i.  |A cap B| = q^dim(A cap B), so popcounts of ANDed
-    masks give intersection dimensions without rank computations."""
-    masks = []
-    for s in labels:
-        q = s.field.q
-        if q == 2:
-            # over GF(2) the bit index of a vector sum is the XOR of indices
-            span = [0]
-            for row in s.basis:
-                r = 0
-                for c in reversed(row):
-                    r = (r << 1) | c
-                span += [v ^ r for v in span]
-            m = 0
-            for v in span:
-                m |= 1 << v
-        else:
-            m = 0
-            for vec in s.vectors():
-                idx = 0
-                for c in reversed(vec):
-                    idx = idx * q + c
-                m |= 1 << idx
-        masks.append(m)
-    return masks
+def _complement_space(s: Subspace) -> Subspace:
+    """Orthogonal complement of s under the standard dot product, in RREF.
+    Its basis is the null space of s's RREF basis: one vector per free
+    column f, with 1 at f and -basis[i][f] at pivot column i."""
+    f = s.field
+    free = [c for c in range(s.n) if c not in s.pivot_cols]
+    rows = []
+    for c in free:
+        vec = [0] * s.n
+        vec[c] = 1
+        for row, p in zip(s.basis, s.pivot_cols):
+            vec[p] = f.neg(row[c])
+        rows.append(vec)
+    return canonicalize(f, rows)
 
 
-def intersection_dim(masks: list[int], q: int, u: int, v: int) -> int:
-    """dim of the intersection of subspaces u, v from their vector masks."""
-    c = (masks[u] & masks[v]).bit_count()
-    d = 0
-    while q**d < c:
-        d += 1
-    assert q**d == c
-    return d
+def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
+                 dims: list[int]) -> dict[int, list[int]]:
+    """{d: ge_d} for each 1 <= d < k in dims, where ge_d[u] is the bitmask
+    of the v with dim(label_u cap label_v) >= d (u itself included).
+
+    Two subspaces meet in dimension >= d iff they share a d-subspace T, so
+    ge_d[u] is the union of the pencils pencil[T] = {v : T in label_v} over
+    the d-subspaces T of label_u.  A T of U = rowspace(B), B in RREF, is
+    rowspace(C B) for a unique RREF coefficient matrix C, and C B is then
+    itself in RREF: its rows, taken from U's span, are T's canonical key.
+
+    When 2k > n the work moves to the complements, which have the smaller
+    dimension n-k: dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
+    """
+    field = make_field(q)
+    nv = len(labels)
+    shift = max(0, 2 * k - n)  # every pair meets in dimension >= shift
+    layers = {d: [(1 << nv) - 1] * nv for d in dims if d <= shift}
+    keyed = [d for d in dims if d > shift]
+    if not keyed:
+        return layers
+    # per keyed d, the RREF coefficient matrices C as row indices into the
+    # span order of Subspace.vectors(): coefficients c sit at sum_j c_j q^j
+    frames = [
+        [tuple(sum(c * q**j for j, c in enumerate(row)) for row in coeffs.basis)
+         for coeffs in enumerate_subspaces(field, k - shift, d - shift)]
+        for d in keyed
+    ]
+    spaces = labels if shift == 0 else [_complement_space(s) for s in labels]
+    key_ids: dict[tuple, int] = {}
+    pencils: list[int] = []
+    members = [[] for _ in keyed]  # members[i][u]: pencil ids of u's subspaces
+    for u, s in enumerate(spaces):
+        span = list(s.vectors())
+        bit = 1 << u
+        for layer_frames, layer_members in zip(frames, members):
+            ids = []
+            for fr in layer_frames:
+                j = key_ids.setdefault(tuple([span[i] for i in fr]), len(pencils))
+                if j == len(pencils):
+                    pencils.append(bit)
+                else:
+                    pencils[j] |= bit
+                ids.append(j)
+            layer_members.append(ids)
+    for d, layer_members in zip(keyed, members):
+        ge = []
+        for ids in layer_members:
+            acc = 0
+            for j in ids:
+                acc |= pencils[j]
+            ge.append(acc)
+        layers[d] = ge
+    return layers
+
+
+def _labels(n: int, k: int, q: int, limit: int) -> list[Subspace]:
+    """The k-subspaces of F_q^n in enumeration order; fails fast when
+    [n,k]_q exceeds the limit."""
+    field = make_field(q)
+    nv = gauss(n, k, q)
+    if nv > limit:
+        raise TooLargeError(f"[{n},{k}]_{q} = {nv} exceeds vertex limit {limit}")
+    return list(enumerate_subspaces(field, n, k))
 
 
 def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
     """Materialize K_q(n,k,t): vertices = k-subspaces of F_q^n, edges where
     dim(intersection) < t.  Fails fast when [n,k]_q exceeds the limit."""
-    field = make_field(p.q)
-    nv = gauss(p.n, p.k, p.q)
-    if nv > limit:
-        raise TooLargeError(f"[{p.n},{p.k}]_{p.q} = {nv} exceeds vertex limit {limit}")
-    labels = list(enumerate_subspaces(field, p.n, p.k))
-    masks = vector_masks(labels)
-    threshold = p.q**p.t  # popcount < q^t  <=>  dim < t
-    rows = [0] * nv
-    for u in range(nv):
-        mu = masks[u]
-        ru = rows[u]
-        for v in range(u + 1, nv):
-            if (mu & masks[v]).bit_count() < threshold:
-                ru |= 1 << v
-                rows[v] |= 1 << u
-        rows[u] = ru
-    return Graph(nv, rows, labels=labels, meta=p)
+    labels = _labels(p.n, p.k, p.q, limit)
+    ge = _meet_layers(labels, p.n, p.k, p.q, [p.t])[p.t]
+    full = (1 << len(labels)) - 1
+    return Graph(len(labels), [full ^ r for r in ge], labels=labels, meta=p)
 
 
 def build_cograssmann(n: int, k: int, q: int, limit: int = VERTEX_LIMIT) -> Graph:
@@ -158,55 +195,26 @@ def build_cograssmann(n: int, k: int, q: int, limit: int = VERTEX_LIMIT) -> Grap
 
 def build_qkneser_all_t(n: int, k: int, q: int, limit: int = VERTEX_LIMIT
                         ) -> tuple[dict[int, Graph], list[list[int]]]:
-    """All graphs K_q(n,k,t) for 1 <= t < k in a single pairwise pass.
+    """All graphs K_q(n,k,t) for 1 <= t < k from one set of meet layers.
 
     Returns ({t: Graph}, histograms) where histograms[u][d] counts the
     vertices v (u itself included) with dim(label_u cap label_v) = d.
-    Identical output to per-t build_qkneser calls, k-1 times cheaper.
+    Identical output to per-t build_qkneser calls; the subspaces are
+    enumerated and keyed once for all t.
     """
-    field = make_field(q)
-    nv = gauss(n, k, q)
-    if nv > limit:
-        raise TooLargeError(f"[{n},{k}]_{q} = {nv} exceeds vertex limit {limit}")
-    labels = list(enumerate_subspaces(field, n, k))
-    masks = vector_masks(labels)
-    powers = {q**d: d for d in range(k + 1)}
-    # layers[d][u] = bitmask of v != u with dim(u cap v) = d
-    layers = [[0] * nv for _ in range(k)]
-    for u in range(nv):
-        mu = masks[u]
-        for v in range(u + 1, nv):
-            d = powers[(mu & masks[v]).bit_count()]
-            if d < k:
-                layers[d][u] |= 1 << v
-                layers[d][v] |= 1 << u
+    labels = _labels(n, k, q, limit)
+    nv = len(labels)
+    full = (1 << nv) - 1
+    layers = _meet_layers(labels, n, k, q, list(range(1, k)))
     hists = []
     for u in range(nv):
-        h = [layers[d][u].bit_count() for d in range(k)]
-        h.append(1)  # only v = u has full-dimensional intersection
-        hists.append(h)
-    graphs = {}
-    rows = [0] * nv
-    for t in range(1, k):
-        rows = [r | layers[t - 1][u] for u, r in enumerate(rows)]
-        graphs[t] = Graph(nv, list(rows), labels=labels, meta=Params(n, k, t, q))
+        # c[d] = |ge_d[u]| for d = 0..k; only u meets u in dimension k
+        c = [nv] + [layers[d][u].bit_count() for d in range(1, k)] + [1]
+        hists.append([c[d] - c[d + 1] for d in range(k)] + [1])
+    graphs = {t: Graph(nv, [full ^ r for r in layers.pop(t)], labels=labels,
+                       meta=Params(n, k, t, q))
+              for t in range(1, k)}
     return graphs, hists
-
-
-def intersection_histogram(g: Graph, u: int, masks: list[int] | None = None) -> list[int]:
-    """Counts of vertices v (including u itself) by dim(label_u cap label_v),
-    indexed 0..k.  Requires labels."""
-    if g.labels is None or g.meta is None:
-        raise ValueError("graph has no subspace labels")
-    if masks is None:
-        masks = vector_masks(g.labels)
-    q, k = g.meta.q, g.meta.k
-    powers = {q**d: d for d in range(k + 1)}
-    hist = [0] * (k + 1)
-    mu = masks[u]
-    for mv in masks:
-        hist[powers[(mu & mv).bit_count()]] += 1
-    return hist
 
 
 # -- PACE 2017 .gr format ---------------------------------------------------
@@ -234,8 +242,10 @@ def write_gr(g: Graph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_gr(path) -> Graph:
-    """Parse a PACE 2017 .gr file; comments are preserved on the Graph."""
+def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
+    """Parse a PACE 2017 .gr file; comments are preserved on the Graph.
+    A header declaring more than limit vertices raises TooLargeError
+    before any edge line is read."""
     comments = []
     n = None
     declared_m = None
@@ -255,6 +265,9 @@ def read_gr(path) -> Graph:
                 if len(parts) != 4 or parts[1] != "tw":
                     raise MalformedFileError(f"{path}:{lineno}: bad header {line!r}")
                 n, declared_m = int(parts[2]), int(parts[3])
+                if n > limit:
+                    raise TooLargeError(
+                        f"{path}:{lineno}: {n} vertices exceed vertex limit {limit}")
                 continue
             if n is None:
                 raise MalformedFileError(f"{path}:{lineno}: edge before header")

@@ -43,11 +43,30 @@ class Subspace:
         return self.sort_key() < other.sort_key()
 
     def contains(self, other: "Subspace") -> bool:
-        """True iff other is a subspace of self."""
-        return dim_intersection(self, other) == other.k
+        """True iff other is a subspace of self.
+
+        Each basis row y of other is reduced against self's RREF rows: the
+        residual y - sum_i y[pivot_i] * basis_i is zero iff y lies in self.
+        """
+        _check_compatible(self, other)
+        if other.k > self.k:
+            return False
+        f = self.field
+        for y in other.basis:
+            r = y
+            for row, p in zip(self.basis, self.pivot_cols):
+                c = r[p]
+                if c:
+                    r = [f.sub(a, f.mul(c, b)) for a, b in zip(r, row)]
+            if any(r):
+                return False
+        return True
 
     def vectors(self):
-        """Yield every vector of the subspace (q^k coordinate tuples)."""
+        """Yield every vector of the subspace (q^k coordinate tuples).
+
+        The combination sum_j c_j * basis_j comes at position sum_j c_j q^j.
+        """
         f = self.field
         span = [(0,) * self.n]
         for row in self.basis:

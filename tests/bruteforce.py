@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately naive implementations (literal ordering enumeration, exhaustive
-dynamic programming, unpruned clique extension, span deduplication) that
-share no code with the solvers they check.
+dynamic programming, unpruned clique extension, span deduplication, pairwise
+intersection counting) that share no code with the solvers they check.
 """
 
 from itertools import combinations, permutations
@@ -113,3 +113,62 @@ def subspaces_by_span_dedup(field: GF, n: int, k: int) -> set:
         if s.k == k:
             spans.add(s)
     return spans
+
+
+def vector_masks(labels) -> list[int]:
+    """Bitmask of member vectors per subspace; vector (c_0..c_{n-1}) maps to
+    bit sum_i c_i * q^i.  |A cap B| = q^dim(A cap B), so popcounts of ANDed
+    masks give intersection dimensions without rank computations."""
+    masks = []
+    for s in labels:
+        q = s.field.q
+        m = 0
+        for vec in s.vectors():
+            idx = 0
+            for c in reversed(vec):
+                idx = idx * q + c
+            m |= 1 << idx
+        masks.append(m)
+    return masks
+
+
+def intersection_dim(masks: list[int], q: int, u: int, v: int) -> int:
+    """dim of the intersection of subspaces u, v from their vector masks."""
+    c = (masks[u] & masks[v]).bit_count()
+    d = 0
+    while q**d < c:
+        d += 1
+    if q**d != c:
+        raise ValueError(f"{c} common vectors is not a power of {q}")
+    return d
+
+
+def pairwise_meets(labels, q: int) -> list[list[int]]:
+    """dims[u][v] = dim(label_u cap label_v), one popcount per pair."""
+    masks = vector_masks(labels)
+    return [[intersection_dim(masks, q, u, v) for v in range(len(labels))]
+            for u in range(len(labels))]
+
+
+def qkneser_rows_pairwise(dims: list[list[int]], t: int) -> list[int]:
+    """Adjacency rows of K_q(n,k,t) straight from the definition:
+    u ~ v iff dim(label_u cap label_v) < t."""
+    rows = []
+    for du in dims:
+        r = 0
+        for v, d in enumerate(du):
+            if d < t:
+                r |= 1 << v
+        rows.append(r)
+    return rows
+
+
+def intersection_histograms(dims: list[list[int]], k: int) -> list[list[int]]:
+    """hist[u][d] = number of v (u included) with dim(label_u cap label_v) = d."""
+    hists = []
+    for du in dims:
+        h = [0] * (k + 1)
+        for d in du:
+            h[d] += 1
+        hists.append(h)
+    return hists

@@ -145,6 +145,19 @@ def test_solve_tw_petersen_from_gr(tmp_path, capsys):
     assert width(read_td(cert)) == 4
 
 
+def test_solve_gr_respects_vertex_limit(tmp_path, capsys):
+    from qkneser.families import petersen_graph
+    from qkneser.graph import write_gr
+
+    gr = tmp_path / "petersen.gr"
+    write_gr(petersen_graph(), gr)
+    code = main(["solve", "--gr", str(gr), "--task", "mis", "--limit", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "10 vertices exceed vertex limit 5" in captured.err
+    assert captured.out == ""
+
+
 def test_solve_mis_from_params(capsys):
     code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
                     "--task", "mis")

@@ -1,5 +1,12 @@
 import pytest
 
+from bruteforce import (
+    intersection_dim,
+    intersection_histograms,
+    pairwise_meets,
+    qkneser_rows_pairwise,
+    vector_masks,
+)
 from qkneser.errors import MalformedFileError, NotPrimePowerError, TooLargeError
 from qkneser.gf import make_field
 from qkneser.graph import (
@@ -8,16 +15,13 @@ from qkneser.graph import (
     build_qkneser,
     build_qkneser_all_t,
     edge_count,
-    intersection_dim,
-    intersection_histogram,
     is_regular,
     max_degree,
     read_gr,
-    vector_masks,
     write_gr,
 )
 from qkneser.qcount import Params, degree_formula, gauss, intersect_count
-from qkneser.subspace import dim_intersection
+from qkneser.subspace import dim_intersection, enumerate_subspaces
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +70,36 @@ def test_non_prime_power_rejected_at_build():
 
 
 # ---------------------------------------------------------------------------
-# mask-based dimensions agree with rank-based dim_intersection (dual route)
+# the pairwise oracle's mask-based dimensions agree with rank-based
+# dim_intersection (dual route)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 3, 2), (2, 5, 3), (4, 3, 2)])
 def test_masks_reproduce_rank_based_dimensions(q, n, k):
-    from qkneser.subspace import enumerate_subspaces
-
     labels = list(enumerate_subspaces(make_field(q), n, k))
     masks = vector_masks(labels)
     for u in range(len(labels)):
         for v in range(u, len(labels)):
             assert intersection_dim(masks, q, u, v) == dim_intersection(labels[u], labels[v])
+
+
+# direct side (2k < n), n = 2k, dual side (2k > n), k = n-1, k = n, GF(3), GF(4)
+@pytest.mark.parametrize("q,n,k", [
+    (2, 5, 2), (2, 4, 2), (2, 6, 3), (2, 5, 3), (2, 6, 4),
+    (2, 4, 3), (2, 5, 4), (2, 3, 3), (3, 5, 2), (3, 4, 2), (3, 5, 3),
+    (3, 4, 3), (4, 4, 2), (4, 3, 2), (4, 4, 3), (4, 2, 2),
+])
+def test_meet_layer_builder_matches_pairwise_oracle(q, n, k):
+    graphs, hists = build_qkneser_all_t(n, k, q)
+    labels = list(enumerate_subspaces(make_field(q), n, k))
+    dims = pairwise_meets(labels, q)
+    assert hists == intersection_histograms(dims, k)
+    assert sorted(graphs) == list(range(1, k))
+    for t, g in graphs.items():
+        expected = qkneser_rows_pairwise(dims, t)
+        assert g.labels == labels
+        assert g.rows == expected
+        assert build_qkneser(Params(n, k, t, q)).rows == expected
 
 
 def test_adjacency_matches_definition():
@@ -113,8 +135,8 @@ def test_degrees_match_formula():
 
 
 def test_intersection_histogram_single_vertex():
-    g = build_qkneser(Params(4, 2, 1, 2))
-    hist = intersection_histogram(g, 0)
+    labels = list(enumerate_subspaces(make_field(2), 4, 2))
+    hist = intersection_histograms(pairwise_meets(labels, 2), 2)[0]
     assert hist == [intersect_count(4, 2, 2, m, 2) for m in range(3)]
     assert sum(hist) == gauss(4, 2, 2)
 
@@ -128,6 +150,12 @@ def test_from_edges_and_edge_iteration():
     assert list(g.edges()) == [(0, 1), (1, 2)]
     assert edge_count(g) == 2
     assert max_degree(g) == 2 and not is_regular(g)
+
+
+def test_edge_count_rejects_asymmetric_rows():
+    g = Graph(2, [0b10, 0b00])  # edge 0 -> 1 without its 1 -> 0 twin
+    with pytest.raises(MalformedFileError):
+        edge_count(g)
 
 
 def test_complement():

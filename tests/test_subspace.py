@@ -166,6 +166,17 @@ def test_contains():
     assert not s.contains(unit_spans(F2, 4, (2,)))
 
 
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+def test_contains_agrees_with_rank_route(q, n):
+    field = make_field(q)
+    subs = [s for k in range(n + 1) for s in enumerate_subspaces(field, n, k)]
+    for a in subs:
+        for b in subs:
+            assert a.contains(b) == (dim_intersection(a, b) == b.k)
+    with pytest.raises(AmbientMismatchError):
+        subs[0].contains(unit_spans(field, n + 1, (0,)))
+
+
 def test_vectors_span_has_full_size():
     s = unit_spans(F3, 3, (0, 2))
     vecs = set(s.vectors())
