@@ -38,6 +38,7 @@ from .qcount import (
     tw_formula_applies,
     tw_formula_cograssmann,
     tw_formula_qkneser,
+    tw_value,
 )
 from .subspace import Subspace, canonicalize, dim_intersection, dim_sum, enumerate_subspaces
 from .graph import (

@@ -22,8 +22,7 @@ from .qcount import (
     degree_formula,
     sweep_records,
     tw_formula_applies,
-    tw_formula_cograssmann,
-    tw_formula_qkneser,
+    tw_value,
 )
 from .td import star_decomposition, validate, width, write_td
 from .verify import SUITES, claims_params, unit_subspace
@@ -59,19 +58,13 @@ def cmd_params(parser, args) -> int:
     report.append(("vertices", gauss(p.n, p.k, p.q)))
     report.append(("delta", degree_formula(p)))
     report.append(("alpha", alpha_formula(p) if p.n >= 2 * p.k else "undefined"))
-    in_range = tw_formula_applies(p)
-    report.append(("tw_formula_applies", "true" if in_range else "false"))
-    if in_range:
-        report.append(("tw", tw_formula_qkneser(p)))
-    elif p.t == p.k - 1 and p.n >= p.k + 2:
-        value = tw_formula_cograssmann(p.n, p.k, p.q)
-        if isinstance(value, Window):
-            report.append(("tw_lower", value.lower))
-            report.append(("tw_upper", value.upper))
-        else:
-            report.append(("tw", value))
+    report.append(("tw_formula_applies", "true" if tw_formula_applies(p) else "false"))
+    value = tw_value(p)
+    if isinstance(value, Window):
+        report.append(("tw_lower", value.lower))
+        report.append(("tw_upper", value.upper))
     else:
-        report.append(("tw", "unknown"))
+        report.append(("tw", "unknown" if value is None else value))
     report.append(("elapsed_ms", int(1000 * (time.monotonic() - start))))
     _emit(report)
     return EXIT_OK
@@ -104,11 +97,7 @@ def cmd_decompose(parser, args) -> int:
     w = width(d)
     path = _out_path(args, f"kq{p.q}_n{p.n}_k{p.k}_t{p.t}.td")
     write_td(d, path)
-    formula = None
-    if tw_formula_applies(p):
-        formula = tw_formula_qkneser(p)
-    elif p.t == p.k - 1 and p.n >= p.k + 2:
-        formula = tw_formula_cograssmann(p.n, p.k, p.q)
+    formula = tw_value(p)
     if formula is None:
         verdict = "undefined"
     elif isinstance(formula, Window):
@@ -206,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized q-Kneser graphs: formulas, graph builds, "
                     "tree decompositions, verification sweeps, exact solvers.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (reserved; current solvers are "
-                             "single-threaded for deterministic results)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_params = subs.add_parser("params", help="print formula values for (q,n,k,t)")
@@ -247,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     handlers = {
         "params": cmd_params,
         "build": cmd_build,

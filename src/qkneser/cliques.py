@@ -15,6 +15,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .graph import bits
+
 
 @dataclass
 class CliqueResult:
@@ -27,13 +29,6 @@ class CliqueResult:
 
 class _Budget(Exception):
     pass
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def max_clique(rows: list[int], node_budget: int | None = None,
@@ -59,7 +54,7 @@ def max_clique(rows: list[int], node_budget: int | None = None,
         """Greedy coloring; returns (vertex, color) in coloring order."""
         out = []
         color = 0
-        rest = cand
+        rest = cand  # walked inline: avail shrinks by ~rows[v] at every step
         while rest:
             color += 1
             avail = rest
@@ -108,9 +103,8 @@ def maximal_cliques(rows: list[int]):
         if p == 0 and x == 0:
             yield r
             return
-        pivot_pool = p | x
-        pivot = max(_iter_bits(pivot_pool), key=lambda v: (rows[v] & p).bit_count())
-        for v in list(_iter_bits(p & ~rows[pivot])):
+        pivot = max(bits(p | x), key=lambda v: (rows[v] & p).bit_count())
+        for v in bits(p & ~rows[pivot]):
             yield from bk(r | (1 << v), p & rows[v], x & rows[v])
             p ^= 1 << v
             x |= 1 << v

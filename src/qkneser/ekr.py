@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cliques import CliqueResult, max_clique, maximal_cliques
 from .errors import DimMismatchError, NotIndependentError, OutOfRangeError
-from .graph import Graph
+from .graph import Graph, bits
 from .subspace import Subspace
 
 
@@ -54,14 +54,7 @@ def nest_family(g: Graph, w_space: Subspace) -> int:
 
 def is_independent(g: Graph, members: int) -> bool:
     """True iff the vertex bitmask induces no edge."""
-    m = members
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if g.rows[v] & members:
-            return False
-        m ^= low
-    return True
+    return not any(g.rows[v] & members for v in bits(members))
 
 
 @dataclass
@@ -106,18 +99,4 @@ def maximum_independent_sets(g: Graph) -> list[int]:
 def write_vertex_set(members: int, path) -> None:
     """Persist a witness as sorted 1-indexed vertex ids, one per line."""
     with open(path, "w") as fh:
-        m = members
-        while m:
-            low = m & -m
-            fh.write(f"{low.bit_length()}\n")
-            m ^= low
-
-
-def check_family(g: Graph, members: int, expected_size: int) -> None:
-    """Assert a constructed family has the formula size and is independent."""
-    if members.bit_count() != expected_size:
-        raise DimMismatchError(
-            f"family has {members.bit_count()} members, expected {expected_size}"
-        )
-    if not is_independent(g, members):
-        raise NotIndependentError("family induces an edge")
+        fh.write("".join(f"{v + 1}\n" for v in bits(members)))

@@ -38,7 +38,8 @@ class NotIndependentError(QKneserError, ValueError):
 
 
 class MalformedTreeError(QKneserError, ValueError):
-    """Tree edges of a decomposition do not form a tree."""
+    """Tree edges of a decomposition do not form a tree, or the elimination
+    order it is built from is not a permutation of the vertices."""
 
 
 class MalformedFileError(QKneserError, ValueError):

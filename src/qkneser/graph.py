@@ -12,6 +12,9 @@ point pencils of the t-subspaces of u.  That costs V * [k,t]_q big-integer
 ORs (V * [n-k,t-2k+n]_q on the complement side when 2k > n) instead of one
 intersection test per vertex pair.
 
+bits() is the one way to walk a packed row: it returns the set bits of a
+mask in ascending order.
+
 Includes a reader/writer for the PACE 2017 .gr format.
 """
 
@@ -25,6 +28,21 @@ from .qcount import Params, alpha_formula, degree_formula, gauss, tw_formula_app
 from .subspace import Subspace, canonicalize, enumerate_subspaces
 
 VERTEX_LIMIT = 5000
+
+
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def parse_ints(tokens, path, lineno: int) -> list[int]:
+    """The tokens of line lineno of a .gr/.td file as ints; a token that is
+    not an integer raises MalformedFileError naming path:lineno."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise MalformedFileError(
+            f"{path}:{lineno}: non-integer token in {' '.join(tokens)!r}") from None
 
 
 @dataclass
@@ -57,24 +75,14 @@ class Graph:
 
     def edges(self):
         """Yield edges (u, v) with u < v, in ascending order."""
-        for u in range(self.n_vertices):
-            m = self.rows[u] >> (u + 1)
-            v = u + 1
-            while m:
-                low = m & -m
-                yield u, v + low.bit_length() - 1
-                shift = low.bit_length()
-                m >>= shift
-                v += shift
+        for u, row in enumerate(self.rows):
+            for v in bits(row >> (u + 1)):
+                yield u, u + 1 + v
 
     def complement(self) -> "Graph":
         full = (1 << self.n_vertices) - 1
         rows = [full & ~r & ~(1 << u) for u, r in enumerate(self.rows)]
         return Graph(self.n_vertices, rows)
-
-    def subgraph_rows(self, keep: int) -> list[int]:
-        """Adjacency restricted to the vertex bitmask keep (same indexing)."""
-        return [self.rows[u] & keep if (keep >> u) & 1 else 0 for u in range(self.n_vertices)]
 
 
 def max_degree(g: Graph) -> int:
@@ -234,22 +242,23 @@ def write_gr(g: Graph, path) -> None:
             lines.append(f"c alpha={alpha_formula(p)}")
         if tw_formula_applies(p):
             lines.append(f"c tw={tw_formula_qkneser(p)}")
-    m = edge_count(g)
-    lines.append(f"p tw {g.n_vertices} {m}")
-    for u, v in g.edges():
-        lines.append(f"{u + 1} {v + 1}")
+    lines.append(f"p tw {g.n_vertices} {edge_count(g)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        for u, row in enumerate(g.rows):
+            head, first = f"{u + 1} ", u + 2  # first: 1-indexed id of bit 0 below
+            fh.write("".join([f"{head}{v + first}\n" for v in bits(row >> (u + 1))]))
 
 
 def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
     """Parse a PACE 2017 .gr file; comments are preserved on the Graph.
     A header declaring more than limit vertices raises TooLargeError
-    before any edge line is read."""
+    before any edge line is read.  A repeated edge line is accepted and
+    counted once."""
     comments = []
     n = None
     declared_m = None
-    edges = []
+    rows: list[int] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -264,25 +273,27 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
                     raise MalformedFileError(f"{path}:{lineno}: duplicate header")
                 if len(parts) != 4 or parts[1] != "tw":
                     raise MalformedFileError(f"{path}:{lineno}: bad header {line!r}")
-                n, declared_m = int(parts[2]), int(parts[3])
+                n, declared_m = parse_ints(parts[2:], path, lineno)
+                if n < 0 or declared_m < 0:
+                    raise MalformedFileError(f"{path}:{lineno}: negative count in header {line!r}")
                 if n > limit:
                     raise TooLargeError(
                         f"{path}:{lineno}: {n} vertices exceed vertex limit {limit}")
+                rows = [0] * n
                 continue
             if n is None:
                 raise MalformedFileError(f"{path}:{lineno}: edge before header")
             if len(parts) != 2:
                 raise MalformedFileError(f"{path}:{lineno}: bad edge line {line!r}")
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            u, v = parse_ints(parts, path, lineno)
+            if not (0 < u <= n and 0 < v <= n) or u == v:
                 raise MalformedFileError(f"{path}:{lineno}: edge out of range {line!r}")
-            edges.append((u, v))
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
     if n is None:
         raise MalformedFileError(f"{path}: missing `p tw` header")
-    g = Graph.from_edges(n, edges)
-    if declared_m is not None and edge_count(g) != declared_m:
-        raise MalformedFileError(
-            f"{path}: header declares {declared_m} edges, found {edge_count(g)}"
-        )
-    g.comments = comments
+    g = Graph(n, rows, comments=comments)
+    m = edge_count(g)
+    if m != declared_m:
+        raise MalformedFileError(f"{path}: header declares {declared_m} edges, found {m}")
     return g

@@ -71,7 +71,8 @@ def gauss(a: int, b: int, q: int) -> int:
         num *= q ** (a - i) - 1
         den *= q ** (b - i) - 1
     quot, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"[{a},{b}]_{q}: inexact division {num} / {den}")
     return quot
 
 
@@ -191,6 +192,17 @@ def tw_formula_cograssmann(n: int, k: int, q: int):
     if k == 2 and n == 4:
         return Window(q**4 + q**2 - 1, q**4 + q**3 + q**2 - 1)
     return gauss(n, k, q) - gauss(n - k + 1, 1, q) - 1
+
+
+def tw_value(p: Params) -> int | Window | None:
+    """What the formulas say about tw(K_q(n,k,t)): the q-Kneser value in
+    its range, else the complement-Grassmann value or Window when t = k-1
+    and n >= k+2, else None (no formula applies)."""
+    if tw_formula_applies(p):
+        return tw_formula_qkneser(p)
+    if p.t == p.k - 1 and p.n >= p.k + 2:
+        return tw_formula_cograssmann(p.n, p.k, p.q)
+    return None
 
 
 def layer_exceeds_alpha(p: Params) -> bool:

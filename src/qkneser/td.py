@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .ekr import is_independent
 from .errors import MalformedFileError, MalformedTreeError, NotIndependentError
-from .graph import Graph
+from .graph import Graph, bits, parse_ints
 
 
 @dataclass
@@ -107,16 +107,20 @@ def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
     # bags containing each vertex, as bag-id bitmasks
     bags_of = [0] * g.n_vertices
     for bid, b in enumerate(d.bags):
-        m = b
-        while m:
-            low = m & -m
-            bags_of[low.bit_length() - 1] |= 1 << bid
-            m ^= low
+        for v in bits(b):
+            bags_of[v] |= 1 << bid
 
+    # the edges uv, v > u, not inside a bag with u are u's row above u minus
+    # the union of u's bags; the first u with any, and its lowest v, give
+    # the first uncovered edge in (u, v) order
     uncovered_edge = None
-    for u, v in g.edges():
-        if not bags_of[u] & bags_of[v]:
-            uncovered_edge = (u, v)
+    for u, row in enumerate(g.rows):
+        reach = 0
+        for bid in bits(bags_of[u]):
+            reach |= d.bags[bid]
+        miss = (row & ~reach) >> (u + 1)
+        if miss:
+            uncovered_edge = (u, u + (miss & -miss).bit_length())
             break
 
     incoherent_vertex = None
@@ -161,13 +165,9 @@ def star_decomposition(g: Graph, independent: int) -> TreeDecomposition:
     full = (1 << g.n_vertices) - 1
     bags = [full & ~independent]
     edges = []
-    m = independent
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
+    for v in bits(independent):
         edges.append((0, len(bags)))
-        bags.append(low | g.rows[v])
-        m ^= low
+        bags.append((1 << v) | g.rows[v])
     return TreeDecomposition(g.n_vertices, bags, edges)
 
 
@@ -182,13 +182,7 @@ def write_td(d: TreeDecomposition, path) -> None:
     max_bag = max((b.bit_count() for b in d.bags), default=0)
     lines.append(f"s td {len(d.bags)} {max_bag} {d.n_vertices}")
     for bid, b in enumerate(d.bags, start=1):
-        vs = []
-        m = b
-        while m:
-            low = m & -m
-            vs.append(str(low.bit_length()))
-            m ^= low
-        lines.append(" ".join(["b", str(bid)] + vs))
+        lines.append(" ".join(["b", str(bid)] + [str(v + 1) for v in bits(b)]))
     for x, y in d.edges:
         lines.append(f"{x + 1} {y + 1}")
     with open(path, "w") as fh:
@@ -210,17 +204,18 @@ def read_td(path) -> TreeDecomposition:
                     raise MalformedFileError(f"{path}:{lineno}: duplicate solution line")
                 if len(parts) != 5 or parts[1] != "td":
                     raise MalformedFileError(f"{path}:{lineno}: bad solution line {line!r}")
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
+                header = parse_ints(parts[2:], path, lineno)
                 continue
             if header is None:
                 raise MalformedFileError(f"{path}:{lineno}: data before `s td` line")
             if parts[0] == "b":
-                bid = int(parts[1])
+                if len(parts) < 2:
+                    raise MalformedFileError(f"{path}:{lineno}: bag line without an id")
+                bid, *vs = parse_ints(parts[1:], path, lineno)
                 if bid in bags:
                     raise MalformedFileError(f"{path}:{lineno}: duplicate bag {bid}")
                 mask = 0
-                for tok in parts[2:]:
-                    v = int(tok)
+                for v in vs:
                     if v < 1 or v > header[2]:
                         raise MalformedFileError(f"{path}:{lineno}: vertex {v} out of range")
                     mask |= 1 << (v - 1)
@@ -228,7 +223,8 @@ def read_td(path) -> TreeDecomposition:
                 continue
             if len(parts) != 2:
                 raise MalformedFileError(f"{path}:{lineno}: bad tree edge {line!r}")
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+            x, y = parse_ints(parts, path, lineno)
+            edges.append((x - 1, y - 1))
     if header is None:
         raise MalformedFileError(f"{path}: missing `s td` line")
     n_bags, _, n_vertices = header

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cliques import max_clique
-from .errors import SearchSpaceTooLargeError, TooLargeError
-from .graph import Graph
+from .errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
+from .graph import Graph, bits
 from .td import TreeDecomposition
 
 VERTEX_CAP = 64
@@ -50,13 +50,6 @@ class _Budget(Exception):
     pass
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def min_fill_order(g: Graph) -> tuple[int, list[int]]:
     """Min-fill elimination heuristic; returns (width, ordering)."""
     n = g.n_vertices
@@ -66,19 +59,9 @@ def min_fill_order(g: Graph) -> tuple[int, list[int]]:
     w = -1 if n == 0 else 0
     while alive:
         best_v, best_fill = -1, None
-        m = alive
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+        for v in bits(alive):
             nb = rows[v] & alive
-            fill = 0
-            mm = nb
-            while mm:
-                lo2 = mm & -mm
-                u = lo2.bit_length() - 1
-                mm ^= lo2
-                fill += (nb & ~rows[u] & ~lo2).bit_count()
+            fill = sum((nb & ~rows[u] & ~(1 << u)).bit_count() for u in bits(nb))
             if best_fill is None or fill < best_fill:
                 best_v, best_fill = v, fill
                 if fill == 0:
@@ -86,12 +69,8 @@ def min_fill_order(g: Graph) -> tuple[int, list[int]]:
         v = best_v
         nb = rows[v] & alive
         w = max(w, nb.bit_count())
-        mm = nb
-        while mm:
-            lo2 = mm & -mm
-            u = lo2.bit_length() - 1
-            mm ^= lo2
-            rows[u] |= nb & ~lo2
+        for u in bits(nb):
+            rows[u] |= nb & ~(1 << u)
         order.append(v)
         alive ^= 1 << v
     return w, order
@@ -106,11 +85,7 @@ def minor_min_width(g: Graph) -> int:
     mmw = 0
     while alive.bit_count() >= 2:
         v, dv = -1, None
-        m = alive
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
+        for u in bits(alive):
             d = (rows[u] & alive).bit_count()
             if dv is None or d < dv:
                 v, dv = u, d
@@ -120,21 +95,13 @@ def minor_min_width(g: Graph) -> int:
             alive ^= 1 << v
             continue
         u, common = -1, None
-        mm = nv
-        while mm:
-            lo2 = mm & -mm
-            w2 = lo2.bit_length() - 1
-            mm ^= lo2
+        for w2 in bits(nv):
             c = (rows[w2] & nv).bit_count()
             if common is None or c < common:
                 u, common = w2, c
         # contract v into u
         rows[u] = (rows[u] | nv) & ~(1 << u) & ~(1 << v)
-        mm = nv
-        while mm:
-            lo2 = mm & -mm
-            w2 = lo2.bit_length() - 1
-            mm ^= lo2
+        for w2 in bits(nv):
             if w2 != u:
                 rows[w2] = (rows[w2] | (1 << u)) & ~(1 << v)
         alive ^= 1 << v
@@ -157,7 +124,8 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     n = g.n_vertices
     if n == 0:
         return TreeDecomposition(0, [0], [])
-    assert sorted(order) == list(range(n))
+    if sorted(order) != list(range(n)):
+        raise MalformedTreeError(f"elimination order is not a permutation of 0..{n - 1}")
     rows = list(g.rows)
     alive = (1 << n) - 1
     pos = {v: i for i, v in enumerate(order)}
@@ -165,18 +133,14 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     for v in order:
         nb = rows[v] & alive & ~(1 << v)
         bags.append((1 << v) | nb)
-        mm = nb
-        while mm:
-            lo2 = mm & -mm
-            u = lo2.bit_length() - 1
-            mm ^= lo2
-            rows[u] |= nb & ~lo2
+        for u in bits(nb):
+            rows[u] |= nb & ~(1 << u)
         alive ^= 1 << v
     edges = []
     for i, v in enumerate(order):
         rest = bags[i] & ~(1 << v)
         if rest:
-            parent = min(_bits(rest), key=lambda u: pos[u])
+            parent = min(bits(rest), key=pos.__getitem__)
             edges.append((i, pos[parent]))
         elif i + 1 < n:
             edges.append((i, i + 1))
@@ -193,7 +157,7 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
     def dfs(rows: list[int], alive: int) -> bool:
         count = alive.bit_count()
         if count <= target + 1:
-            order_out.extend(_bits(alive))
+            order_out.extend(bits(alive))
             return True
         if alive in failed:
             return False
@@ -203,6 +167,8 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
         if deadline is not None and state["nodes"] % 128 == 0 and time.monotonic() > deadline:
             raise _Budget
         cands = []
+        # the search's hot path walks sparse masks inline: O(popcount) per
+        # walk, where bits() costs O(bit_length) (2.2x slower on G(28,0.3))
         m = alive
         while m:
             low = m & -m
@@ -299,13 +265,6 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
                        state["nodes"], elapsed)
 
 
-def write_order(order: list[int], path) -> None:
-    """Persist an elimination ordering, one 1-indexed vertex id per line."""
-    with open(path, "w") as fh:
-        for v in order:
-            fh.write(f"{v + 1}\n")
-
-
 # -- balanced separators ------------------------------------------------------
 
 
@@ -317,6 +276,8 @@ class SeparatorWitness:
 
 
 def _components(rows: list[int], alive: int) -> list[int]:
+    # hot in balanced_separator_search; the inline walk is O(popcount) per
+    # frontier where bits() is O(bit_length) (2.3x slower on the 5x6 grid)
     comps = []
     rest = alive
     while rest:
@@ -387,6 +348,7 @@ def balanced_separator_search(g: Graph, size_cap: int, p: Fraction = Fraction(2,
                 if not (suffix[i + 1] >> need) & 1:  # cannot skip component i
                     side_a |= c
                     need -= s
-            assert need == 0 and side_a.bit_count() == target
+            if need != 0 or side_a.bit_count() != target:
+                raise RuntimeError(f"subset-sum reconstruction missed target {target}")
             return SeparatorWitness(x_mask, side_a, rest & ~side_a)
     return None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import ekr, families, twsolve
 from .gf import make_field
-from .graph import build_cograssmann, build_qkneser, build_qkneser_all_t, gauss
+from .graph import bits, build_cograssmann, build_qkneser, build_qkneser_all_t, gauss
 from .qcount import (
     Params,
     alpha_formula,
@@ -246,13 +246,8 @@ def _separator_ok(g, witness) -> bool:
     full = (1 << g.n_vertices) - 1
     if x | a | b != full or x & a or x & b or a & b:
         return False
-    m = a
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if g.rows[v] & b:
-            return False
+    if any(g.rows[v] & b for v in bits(a)):
+        return False
     r = (a | b).bit_count()
     return 3 * a.bit_count() >= r and 3 * b.bit_count() >= r \
         and 3 * a.bit_count() <= 2 * r and 3 * b.bit_count() <= 2 * r

@@ -172,3 +172,15 @@ def intersection_histograms(dims: list[list[int]], k: int) -> list[list[int]]:
             h[d] += 1
         hists.append(h)
     return hists
+
+
+def uncovered_edges(g: Graph, bags: list[int]) -> list[tuple[int, int]]:
+    """Every edge (u, v), u < v, that no bag contains, in (u, v) order:
+    one pair test per vertex pair, one membership test per bag."""
+    n = g.n_vertices
+    return [
+        (u, v)
+        for u in range(n) for v in range(u + 1, n)
+        if (g.rows[u] >> v) & 1
+        and not any((b >> u) & 1 and (b >> v) & 1 for b in bags)
+    ]

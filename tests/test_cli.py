@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import qkneser
 from qkneser.cli import main
 
 
@@ -181,7 +187,15 @@ def test_solve_needs_input():
     assert exc.value.code == 2
 
 
-def test_threads_flag_validated():
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "params", "-q", "2", "-n", "7", "-k", "2", "-t", "1"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("text", ["p tw 3 x\n", "p tw 3 1\n1 two\n"])
+def test_solve_gr_malformed_file_is_usage_error(tmp_path, text):
+    gr = tmp_path / "bad.gr"
+    gr.write_text(text)
+    src = str(Path(qkneser.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "qkneser.cli", "solve", "--gr", str(gr)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "bad.gr:" in proc.stderr and "non-integer token" in proc.stderr

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bruteforce import (
@@ -11,6 +13,7 @@ from qkneser.errors import MalformedFileError, NotPrimePowerError, TooLargeError
 from qkneser.gf import make_field
 from qkneser.graph import (
     Graph,
+    bits,
     build_cograssmann,
     build_qkneser,
     build_qkneser_all_t,
@@ -158,6 +161,22 @@ def test_edge_count_rejects_asymmetric_rows():
         edge_count(g)
 
 
+def _bits_oracle(m: int) -> list[int]:
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_bits_matches_bit_test_oracle():
+    rng = random.Random(20240801)
+    masks = [0] + [1 << i for i in range(3000)]
+    for _ in range(200):
+        width = rng.randint(1, 3000)
+        density = rng.choice([0.001, 0.01, 0.5, 0.99])
+        masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+        masks.append(rng.getrandbits(width))
+    for m in masks:
+        assert bits(m) == _bits_oracle(m)
+
+
 def test_complement():
     g = Graph.from_edges(3, [(0, 1)])
     c = g.complement()
@@ -201,3 +220,24 @@ def test_gr_parse_errors(tmp_path):
     bad.write_text("c only comments\n")
     with pytest.raises(MalformedFileError):
         read_gr(bad)
+
+
+def test_gr_repeated_edge_line_counts_once(tmp_path):
+    path = tmp_path / "dup.gr"
+    path.write_text("p tw 3 2\n1 2\n2 3\n1 2\n2 1\n")
+    g = read_gr(path)
+    assert list(g.edges()) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("p tw 3 x\n", 1),
+    ("p tw three 1\n1 2\n", 1),
+    ("c ok\np tw 3 1\n1 two\n", 3),
+    ("p tw 3 1\n1.0 2\n", 2),
+    ("p tw -1 0\n", 1),
+])
+def test_gr_rejects_non_integer_and_negative_tokens(tmp_path, text, lineno):
+    path = tmp_path / "bad.gr"
+    path.write_text(text)
+    with pytest.raises(MalformedFileError, match=f"bad.gr:{lineno}:"):
+        read_gr(path)

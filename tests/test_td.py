@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
+from bruteforce import uncovered_edges
 from qkneser.ekr import point_pencil
 from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError
-from qkneser.families import cycle_graph, path_graph
+from qkneser.families import cycle_graph, path_graph, random_graph
 from qkneser.graph import Graph, build_qkneser
 from qkneser.qcount import Params
 from qkneser.td import (
@@ -13,6 +16,7 @@ from qkneser.td import (
     width,
     write_td,
 )
+from qkneser.twsolve import decomposition_from_order
 from qkneser.verify import unit_subspace
 
 
@@ -42,6 +46,47 @@ def test_uncovered_edge_witness():
     assert not report.valid
     assert report.vertices_covered
     assert report.uncovered_edge == (0, 2)
+
+
+def test_uncovered_edge_is_first_of_several():
+    # (1, 3) and (2, 3) are both uncovered; (0, 3) is inside the second bag
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3), (0, 3)])
+    d = TreeDecomposition(4, [0b0111, 0b1001], [(0, 1)])
+    assert uncovered_edges(g, d.bags) == [(1, 3), (2, 3)]
+    assert validate(g, d).uncovered_edge == (1, 3)
+
+
+def _random_decomposition(rng, g):
+    """A random bag tree: either the valid decomposition of a random
+    elimination order with random vertices dropped from its bags, or random
+    bags on a random tree."""
+    n = g.n_vertices
+    if rng.random() < 0.5:
+        order = list(range(n))
+        rng.shuffle(order)
+        d = decomposition_from_order(g, order)
+        drop = rng.choice([0, 0, 1, 3])
+        for _ in range(drop):
+            i = rng.randrange(len(d.bags))
+            d.bags[i] &= ~(1 << rng.randrange(n))
+        return d
+    b = rng.randint(1, 8)
+    bags = [rng.getrandbits(n) for _ in range(b)]
+    edges = [(i, rng.randrange(i)) for i in range(1, b)]
+    return TreeDecomposition(n, bags, edges)
+
+
+def test_uncovered_edge_matches_pairwise_oracle():
+    rng = random.Random(20240801)
+    seen_valid = seen_several = 0
+    for i in range(300):
+        g = random_graph(rng.randint(2, 14), rng.choice([0.2, 0.5, 0.8]), i)
+        d = _random_decomposition(rng, g)
+        missed = uncovered_edges(g, d.bags)
+        assert validate(g, d).uncovered_edge == (missed[0] if missed else None)
+        seen_valid += not missed
+        seen_several += len(missed) >= 2
+    assert seen_valid >= 30 and seen_several >= 30
 
 
 def test_uncovered_vertex_witness():
@@ -161,3 +206,17 @@ def test_td_parse_errors(tmp_path):
     bad.write_text("s td x y z\n")
     with pytest.raises((MalformedFileError, ValueError)):
         read_td(bad)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("s td x y z\n", 1),
+    ("s td 1 2 3\nb\n", 2),
+    ("s td 1 2 3\nb one 1 2\n", 2),
+    ("s td 1 2 3\nb 1 1 two\n", 2),
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 z\n", 4),
+])
+def test_td_rejects_non_integer_tokens_and_missing_bag_id(tmp_path, text, lineno):
+    path = tmp_path / "bad.td"
+    path.write_text(text)
+    with pytest.raises(MalformedFileError, match=f"bad.td:{lineno}:"):
+        read_td(path)

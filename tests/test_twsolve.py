@@ -1,7 +1,7 @@
 import pytest
 
 from bruteforce import elimination_width, max_clique_brute, tw_by_orderings, tw_by_subset_dp
-from qkneser.errors import SearchSpaceTooLargeError, TooLargeError
+from qkneser.errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
 from qkneser.families import (
     complete_graph,
     cycle_graph,
@@ -99,6 +99,12 @@ def test_decomposition_from_order_any_order():
     d = decomposition_from_order(g, order)
     assert validate(g, d).valid
     assert width(d) == elimination_width(g, order)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 10]])
+def test_decomposition_from_order_rejects_non_permutation(order):
+    with pytest.raises(MalformedTreeError, match="not a permutation"):
+        decomposition_from_order(cycle_graph(4), order)
 
 
 def test_bound_helpers_bracket_treewidth():
