@@ -21,6 +21,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     TooLargeError,
     UnsupportedFieldError,
+    UsageError,
 )
 from .gf import GF, make_field
 from .qcount import (

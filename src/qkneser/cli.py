@@ -1,8 +1,10 @@
 """Command-line entry point: build, export, decompose, verify, solve.
 
-Reports are stable key=value lines with all counts as decimal strings
-(timing fields excepted, they vary by run).  Exit codes: 0 success or all
-checks verified, 1 verification failure, 2 usage error, 3 resource limit.
+Each command returns its report as (key, value) pairs and a verdict; main
+prints them as stable key=value lines from `command=<name>` to
+`elapsed_ms=`, the one field that varies by run.  Exit codes: 0 success or
+all checks verified, 1 verification failure, 2 usage or input error (a file
+the OS cannot open included), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -13,19 +15,11 @@ import sys
 import time
 
 from . import ekr, twsolve
-from .errors import QKneserError, ResourceLimitError
+from .errors import QKneserError, ResourceLimitError, UsageError
 from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
-from .qcount import (
-    Params,
-    Window,
-    alpha_formula,
-    degree_formula,
-    sweep_records,
-    tw_formula_applies,
-    tw_value,
-)
-from .td import star_decomposition, validate, width, write_td
-from .verify import SUITES, claims_params, unit_subspace
+from .qcount import Params, Window, alpha_formula, degree_formula, tw_formula_applies, tw_value
+from .td import write_td
+from .verify import SUITES, run_suite, star_certificate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -33,135 +27,82 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _out_path(args, default_name: str) -> str:
-    if args.out:
-        return args.out
-    return os.path.join(os.environ.get("QKNESER_OUT_DIR", "."), default_name)
+def _out_path(args, p: Params, suffix: str) -> str:
+    name = f"kq{p.q}_n{p.n}_k{p.k}_t{p.t}.{suffix}"
+    return args.out or os.path.join(os.environ.get("QKNESER_OUT_DIR", "."), name)
 
 
-def _params(parser, args) -> Params:
-    try:
-        return Params(args.n, args.k, args.t, args.q)
-    except QKneserError as exc:
-        parser.error(str(exc))
+def _params(args) -> tuple[Params, list]:
+    """The Params of -q -n -k -t and their report fields."""
+    p = Params(args.n, args.k, args.t, args.q)
+    return p, [("q", p.q), ("n", p.n), ("k", p.k), ("t", p.t)]
 
 
-def _emit(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key}={value}")
-
-
-def cmd_params(parser, args) -> int:
-    p = _params(parser, args)
-    start = time.monotonic()
-    report = [("command", "params"), ("q", p.q), ("n", p.n), ("k", p.k), ("t", p.t)]
-    report.append(("vertices", gauss(p.n, p.k, p.q)))
-    report.append(("delta", degree_formula(p)))
-    report.append(("alpha", alpha_formula(p) if p.n >= 2 * p.k else "undefined"))
-    report.append(("tw_formula_applies", "true" if tw_formula_applies(p) else "false"))
+def cmd_params(args):
+    p, report = _params(args)
+    report += [
+        ("vertices", gauss(p.n, p.k, p.q)),
+        ("delta", degree_formula(p)),
+        ("alpha", alpha_formula(p) if p.n >= 2 * p.k else "undefined"),
+        ("tw_formula_applies", tw_formula_applies(p)),
+    ]
     value = tw_value(p)
     if isinstance(value, Window):
-        report.append(("tw_lower", value.lower))
-        report.append(("tw_upper", value.upper))
+        report += [("tw_lower", value.lower), ("tw_upper", value.upper)]
     else:
         report.append(("tw", "unknown" if value is None else value))
-    report.append(("elapsed_ms", int(1000 * (time.monotonic() - start))))
-    _emit(report)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_build(parser, args) -> int:
-    p = _params(parser, args)
-    start = time.monotonic()
+def cmd_build(args):
+    p, report = _params(args)
     g = build_qkneser(p, limit=args.limit)
-    path = _out_path(args, f"kq{p.q}_n{p.n}_k{p.k}_t{p.t}.gr")
+    path = _out_path(args, p, "gr")
     write_gr(g, path)
-    _emit([
-        ("command", "build"),
-        ("q", p.q), ("n", p.n), ("k", p.k), ("t", p.t),
-        ("vertices", g.n_vertices),
-        ("edges", edge_count(g)),
+    return report + [("vertices", g.n_vertices), ("edges", edge_count(g)), ("out", path)], True
+
+
+def cmd_decompose(args):
+    p, report = _params(args)
+    cert = star_certificate(build_qkneser(p, limit=args.limit))
+    path = _out_path(args, p, "td")
+    write_td(cert.decomposition, path)
+    report += [
+        ("vertices", cert.decomposition.n_vertices),
+        ("pencil_size", cert.pencil.bit_count()),
+        ("width", cert.width),
+        ("valid", cert.report.valid),
+        ("width_matches_formula", cert.verdict),
         ("out", path),
-        ("elapsed_ms", int(1000 * (time.monotonic() - start))),
-    ])
-    return EXIT_OK
+    ]
+    return report, cert.report.valid and cert.verdict not in ("false", "outside_window")
 
 
-def cmd_decompose(parser, args) -> int:
-    p = _params(parser, args)
-    start = time.monotonic()
-    g = build_qkneser(p, limit=args.limit)
-    pencil = ekr.point_pencil(g, unit_subspace(p.q, p.n, p.t))
-    d = star_decomposition(g, pencil)
-    report = validate(g, d)
-    w = width(d)
-    path = _out_path(args, f"kq{p.q}_n{p.n}_k{p.k}_t{p.t}.td")
-    write_td(d, path)
-    formula = tw_value(p)
-    if formula is None:
-        verdict = "undefined"
-    elif isinstance(formula, Window):
-        verdict = "within_window" if w in formula else "outside_window"
-    else:
-        verdict = "true" if w == formula else "false"
-    _emit([
-        ("command", "decompose"),
-        ("q", p.q), ("n", p.n), ("k", p.k), ("t", p.t),
-        ("vertices", g.n_vertices),
-        ("pencil_size", pencil.bit_count()),
-        ("width", w),
-        ("valid", "true" if report.valid else "false"),
-        ("width_matches_formula", verdict),
-        ("out", path),
-        ("elapsed_ms", int(1000 * (time.monotonic() - start))),
-    ])
-    if not report.valid or verdict in ("false", "outside_window"):
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
-def cmd_verify(parser, args) -> int:
-    suite = SUITES[args.suite]
-    start = time.monotonic()
-    kwargs = {}
-    if args.suite in ("identities", "claims") and args.qmax is not None:
-        kwargs["qmax"] = args.qmax
-    if args.suite == "claims" and args.nmax is not None:
-        kwargs["nmax"] = args.nmax
-    report = suite(**kwargs)
-    if args.suite == "claims" and args.out:
-        grid = claims_params(args.qmax or 9, args.nmax or 40)
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(sweep_records(grid)) + "\n")
+def cmd_verify(args):
+    options = {k: v for k, v in vars(args).items()
+               if k in ("qmax", "nmax", "out") and v is not None}
+    report = run_suite(args.suite, **options)
+    # the suite's notes and failures are its log, printed ahead of the report
     for line in report.lines:
         print(f"# {line}")
     for failure in report.failures:
         print(f"FAIL {failure}")
-    _emit([
-        ("command", "verify"),
-        ("suite", args.suite),
-        ("checks", report.checks),
-        ("failures", len(report.failures)),
-        ("ok", "true" if report.ok else "false"),
-        ("elapsed_ms", int(1000 * (time.monotonic() - start))),
-    ])
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return [("suite", args.suite), ("checks", report.checks),
+            ("failures", len(report.failures)), ("ok", report.ok)], report.ok
 
 
-def cmd_solve(parser, args) -> int:
-    start = time.monotonic()
+def cmd_solve(args):
     if args.gr:
         g = read_gr(args.gr, limit=args.limit)
         source = args.gr
+    elif None in (args.q, args.n, args.k, args.t):
+        raise UsageError("solve needs either --gr PATH or all of -q -n -k -t")
     else:
-        if None in (args.q, args.n, args.k, args.t):
-            parser.error("solve needs either --gr PATH or all of -q -n -k -t")
-        p = _params(parser, args)
+        p, _ = _params(args)
         g = build_qkneser(p, limit=args.limit)
         source = f"K_{p.q}({p.n},{p.k},{p.t})"
     budget_s = args.budget_ms / 1000.0 if args.budget_ms is not None else None
-    report = [("command", "solve"), ("input", source), ("task", args.task),
-              ("vertices", g.n_vertices)]
+    report = [("input", source), ("task", args.task), ("vertices", g.n_vertices)]
     if args.task == "tw":
         r = twsolve.treewidth_exact(g, time_budget=budget_s)
         report += [("value", r.value), ("status", r.status),
@@ -177,9 +118,7 @@ def cmd_solve(parser, args) -> int:
         if args.out:
             ekr.write_vertex_set(r.members, args.out)
             report.append(("out", args.out))
-    report.append(("elapsed_ms", int(1000 * (time.monotonic() - start))))
-    _emit(report)
-    return EXIT_OK
+    return report, True
 
 
 def _add_param_flags(sub, required: bool) -> None:
@@ -196,57 +135,62 @@ def build_parser() -> argparse.ArgumentParser:
                     "tree decompositions, verification sweeps, exact solvers.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    limit = argparse.ArgumentParser(add_help=False)
+    limit.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
 
     p_params = subs.add_parser("params", help="print formula values for (q,n,k,t)")
+    p_params.set_defaults(run=cmd_params)
     _add_param_flags(p_params, required=True)
 
-    p_build = subs.add_parser("build", help="build K_q(n,k,t) and export a .gr file")
+    p_build = subs.add_parser("build", parents=[limit],
+                              help="build K_q(n,k,t) and export a .gr file")
+    p_build.set_defaults(run=cmd_build)
     _add_param_flags(p_build, required=True)
-    p_build.add_argument("--format", choices=["gr"], default="gr")
     p_build.add_argument("--out", help="output path (default derived from params)")
-    p_build.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
 
-    p_dec = subs.add_parser("decompose",
+    p_dec = subs.add_parser("decompose", parents=[limit],
                             help="build, star-decompose from a point pencil, "
                                  "validate, export a .td file")
+    p_dec.set_defaults(run=cmd_decompose)
     _add_param_flags(p_dec, required=True)
     p_dec.add_argument("--out", help="output path (default derived from params)")
-    p_dec.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
 
     p_ver = subs.add_parser("verify", help="run a named verification suite")
+    p_ver.set_defaults(run=cmd_verify)
     p_ver.add_argument("suite", choices=sorted(SUITES))
-    p_ver.add_argument("--qmax", type=int, help="largest q in the sweep")
-    p_ver.add_argument("--nmax", type=int, help="largest n in the sweep")
-    p_ver.add_argument("--out", help="write sweep records (claims suite)")
+    p_ver.add_argument("--qmax", type=int, help="largest q in the sweep (identities, claims)")
+    p_ver.add_argument("--nmax", type=int, help="largest n in the sweep (claims)")
+    p_ver.add_argument("--out", help="write sweep records (claims)")
 
-    p_solve = subs.add_parser("solve", help="exact treewidth / independent set")
+    p_solve = subs.add_parser("solve", parents=[limit], help="exact treewidth / independent set")
+    p_solve.set_defaults(run=cmd_solve)
     _add_param_flags(p_solve, required=False)
     p_solve.add_argument("--gr", help="solve a graph loaded from a .gr file")
     p_solve.add_argument("--task", choices=["tw", "mis"], default="tw")
     p_solve.add_argument("--budget-ms", type=int, dest="budget_ms",
                          help="wall-clock budget; 0 gives bounds only")
     p_solve.add_argument("--out", help="certificate path (.td or vertex list)")
-    p_solve.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "params": cmd_params,
-        "build": cmd_build,
-        "decompose": cmd_decompose,
-        "verify": cmd_verify,
-        "solve": cmd_solve,
-    }
+    start = time.monotonic()
     try:
-        return handlers[args.command](parser, args)
+        report, ok = args.run(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except QKneserError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    elapsed_ms = int(1000 * (time.monotonic() - start))
+    for key, value in [("command", args.command), *report, ("elapsed_ms", elapsed_ms)]:
+        print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

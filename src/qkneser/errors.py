@@ -46,6 +46,10 @@ class MalformedFileError(QKneserError, ValueError):
     """A .gr or .td file violates the expected format."""
 
 
+class UsageError(QKneserError, ValueError):
+    """Command-line options that the chosen command cannot use."""
+
+
 class ResourceLimitError(QKneserError):
     """Base class for fail-fast size and search-space guards."""
 

@@ -84,13 +84,9 @@ class GF:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._neg = [(-a) % p for a in range(p)]
-            self._inv = [0] + [pow(a, -1, p) for a in range(1, p)]
-            return
+        # one path for every q: a prime field is the degree-1 extension by
+        # the modulus x, whose products need no reduction
+        p, q = self.p, self.q
         digits = [self.coeffs(a) for a in range(q)]
         self._add = [
             [self.element(tuple((x + y) % p for x, y in zip(digits[a], digits[b])))

@@ -86,8 +86,9 @@ def _check_tree(d: TreeDecomposition) -> list[list[int]]:
 def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
     """Check the three decomposition conditions against g, with witnesses.
 
-    Raises MalformedTreeError when the bag edges do not form a tree; all
-    other defects are reported, first witness in deterministic order.
+    Raises MalformedTreeError when the bag edges do not form a tree or a
+    bag holds a vertex outside the graph; all other defects are reported,
+    first witness in deterministic order.
     """
     adj = _check_tree(d)
     if d.n_vertices != g.n_vertices:
@@ -98,6 +99,10 @@ def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
     union = 0
     for b in d.bags:
         union |= b
+    if union.bit_length() > g.n_vertices:
+        raise MalformedTreeError(
+            f"a bag holds vertex {union.bit_length() - 1}, graph has {g.n_vertices} vertices"
+        )
     full = (1 << g.n_vertices) - 1
     uncovered_vertex = None
     missing = full & ~union

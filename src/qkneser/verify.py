@@ -12,14 +12,17 @@ Suites return a SuiteReport; the CLI maps failures to a nonzero exit.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field as dc_field
 
 from . import ekr, families, twsolve
+from .errors import UsageError
 from .gf import make_field
 from .graph import bits, build_cograssmann, build_qkneser, build_qkneser_all_t, gauss
 from .qcount import (
     Params,
+    Window,
     alpha_formula,
     degree_formula,
     delta_alpha_below_vertex_count,
@@ -28,12 +31,13 @@ from .qcount import (
     intersect_count,
     layer_exceeds_alpha,
     pigeonhole_bound_holds,
+    sweep_records,
     tw_formula_applies,
-    tw_formula_cograssmann,
     tw_formula_qkneser,
+    tw_value,
 )
 from .subspace import canonicalize
-from .td import star_decomposition, validate, width
+from .td import TreeDecomposition, ValidationReport, star_decomposition, validate, width
 
 SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)  # prime powers; formulas accept any q >= 2
 
@@ -64,6 +68,38 @@ def unit_subspace(q: int, n: int, dim: int):
         return canonicalize(field, [[0] * n])
     rows = [[1 if j == i else 0 for j in range(n)] for i in range(dim)]
     return canonicalize(field, rows)
+
+
+@dataclass
+class StarCertificate:
+    """The star decomposition of a built K_q(n,k,t) over the point pencil
+    of span{e_1, ..., e_t}, its validation and its width, set against the
+    formula value qcount.tw_value."""
+
+    pencil: int
+    decomposition: TreeDecomposition
+    report: ValidationReport
+    width: int
+    formula: int | Window | None
+    # true/false against an exact value, within_window/outside_window
+    # against a Window, undefined where no formula applies
+    verdict: str
+
+
+def star_certificate(g) -> StarCertificate:
+    """Pencil, star decomposition, validation and width for a graph built
+    from Params (g.meta)."""
+    p = g.meta
+    pencil = ekr.point_pencil(g, unit_subspace(p.q, p.n, p.t))
+    d = star_decomposition(g, pencil)
+    w, formula = width(d), tw_value(p)
+    if formula is None:
+        verdict = "undefined"
+    elif isinstance(formula, Window):
+        verdict = "within_window" if w in formula else "outside_window"
+    else:
+        verdict = "true" if w == formula else "false"
+    return StarCertificate(pencil, d, validate(g, d), w, formula, verdict)
 
 
 def buildable_instances(qs=(2, 3), max_vertices: int = 3000):
@@ -110,13 +146,16 @@ def suite_identities(qmax: int = 9, mmax: int = 12) -> SuiteReport:
     return rep
 
 
-def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8) -> SuiteReport:
+def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8,
+                 out: str | None = None) -> SuiteReport:
     """Inequality sweep: the t-layer count exceeds alpha for n >= 2k; the
     pigeonhole bound holds in the treewidth-formula range; and
-    Delta + alpha < |V| wherever alpha is defined."""
+    Delta + alpha < |V| wherever alpha is defined.  With `out`, writes
+    one qcount.sweep_records line per grid point to that path."""
     rep = SuiteReport("claims")
     in_range = 0
-    for p in claims_params(qmax, nmax, kmax):
+    grid = claims_params(qmax, nmax, kmax)
+    for p in grid:
         rep.check(layer_exceeds_alpha(p),
                   f"layer count fails to exceed alpha at {p}")
         rep.check(delta_alpha_below_vertex_count(p),
@@ -131,6 +170,9 @@ def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8) -> SuiteReport:
                 f"treewidth formula disagrees with |V| - alpha - 1 at {p}",
             )
     rep.info(f"claims sweep: {rep.checks} checks, {in_range} params in formula range")
+    if out is not None:
+        with open(out, "w") as fh:
+            fh.write("\n".join(sweep_records(grid)) + "\n")
     return rep
 
 
@@ -201,21 +243,16 @@ def suite_td() -> SuiteReport:
     """Constructive treewidth upper bounds: star decompositions from point
     pencils achieve the formula width and pass the validator."""
     rep = SuiteReport("td")
-    for name, g, formula in (
-        ("q-Kneser q=2 n=7 k=2 t=1", build_qkneser(Params(7, 2, 1, 2)),
-         tw_formula_qkneser(Params(7, 2, 1, 2))),
-        ("complement Grassmann q=2 n=5 k=2", build_cograssmann(5, 2, 2),
-         tw_formula_cograssmann(5, 2, 2)),
+    for name, g in (
+        ("q-Kneser q=2 n=7 k=2 t=1", build_qkneser(Params(7, 2, 1, 2))),
+        ("complement Grassmann q=2 n=5 k=2", build_cograssmann(5, 2, 2)),
     ):
-        p = g.meta
-        pencil = ekr.point_pencil(g, unit_subspace(p.q, p.n, p.t))
-        d = star_decomposition(g, pencil)
-        report = validate(g, d)
-        w = width(d)
-        rep.check(report.valid, f"{name}: decomposition invalid: {report}")
-        rep.check(w == formula, f"{name}: width {w} != formula value {formula}")
-        rep.info(f"{name}: width {w} = formula, validator passed "
-                 f"({len(d.bags)} bags)")
+        cert = star_certificate(g)
+        rep.check(cert.report.valid, f"{name}: decomposition invalid: {cert.report}")
+        rep.check(cert.verdict == "true",
+                  f"{name}: width {cert.width} != formula value {cert.formula}")
+        rep.info(f"{name}: width {cert.width} = formula, validator passed "
+                 f"({len(cert.decomposition.bags)} bags)")
     return rep
 
 
@@ -278,3 +315,13 @@ SUITES = {
     "td": suite_td,
     "separators": suite_separators,
 }
+
+
+def run_suite(name: str, **options) -> SuiteReport:
+    """Run SUITES[name] with the given keyword options; an option the suite
+    does not take is a UsageError."""
+    suite = SUITES[name]
+    extra = sorted(set(options) - set(inspect.signature(suite).parameters))
+    if extra:
+        raise UsageError(f"verify {name} takes no --{extra[0]}")
+    return suite(**options)

@@ -14,6 +14,23 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(qkneser.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "qkneser.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def exit_code(argv):
+    """main's exit code, whether it returns it or exits via argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def parse(out):
     pairs = {}
     for line in out.splitlines():
@@ -191,11 +208,79 @@ def test_solve_needs_input():
 def test_solve_gr_malformed_file_is_usage_error(tmp_path, text):
     gr = tmp_path / "bad.gr"
     gr.write_text(text)
-    src = str(Path(qkneser.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "qkneser.cli", "solve", "--gr", str(gr)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = cli("solve", "--gr", str(gr))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "bad.gr:" in proc.stderr and "non-integer token" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--gr", "{tmp}/missing.gr"],
+    ["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--out", "{tmp}/no/such/dir/x.gr"],
+])
+def test_file_the_os_cannot_open_is_usage_error(tmp_path, argv):
+    proc = cli(*[a.format(tmp=tmp_path) for a in argv])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "No such file or directory" in proc.stderr
+    assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# report shape and exit codes, across all commands
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["params", "-q", "2", "-n", "4", "-k", "2", "-t", "1"],
+    ["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--out", "{tmp}/g.gr"],
+    ["decompose", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--out", "{tmp}/d.td"],
+    ["verify", "identities", "--qmax", "2"],
+    ["solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--task", "mis"],
+])
+def test_report_runs_from_command_to_elapsed_ms(tmp_path, capsys, argv):
+    code, out = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 0
+    lines = out.splitlines()
+    # only verify prints anything ahead of the report: its suite's log
+    log = [line for line in lines if line.startswith(("# ", "FAIL "))]
+    assert not log or argv[0] == "verify"
+    report = lines[len(log):]
+    assert report[0] == f"command={argv[0]}"
+    key, _, value = report[-1].partition("=")
+    assert key == "elapsed_ms" and value.isdigit()
+    assert all("=" in line and not line.startswith("#") for line in report)
+    if argv[0] in ("params", "build", "decompose"):
+        assert report[1:5] == ["q=2", "n=4", "k=2", "t=1"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["params", "-q", "2", "-n", "4", "-k", "2", "-t", "1"], 0),
+    (["verify", "claims", "--qmax", "2", "--nmax", "14"], 1),
+    (["params", "-q", "2", "-n", "4", "-k", "2", "-t", "3"], 2),   # t >= k
+    (["params", "-q", "2", "-n", "4", "-k", "2"], 2),              # missing -t
+    (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--format", "gr"], 2),
+    (["solve", "--gr", "{tmp}/bad.gr"], 2),                        # malformed .gr
+    (["solve", "--gr", "{tmp}/missing.gr"], 2),
+    (["verify", "degrees", "--qmax", "3"], 2),
+    (["verify", "identities", "--nmax", "5"], 2),
+    (["verify", "td", "--out", "{tmp}/records.csv"], 2),
+    (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "34",
+      "--out", "{tmp}/g.gr"], 3),
+    (["solve", "--gr", "{tmp}/bad.gr", "--limit", "2"], 3),        # header checked first
+])
+def test_exit_code_contract(tmp_path, capsys, argv, expected):
+    (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")
+    assert exit_code([a.format(tmp=tmp_path) for a in argv]) == expected
+    out = capsys.readouterr().out
+    # a usage, input or resource error prints no report
+    assert ("command=" in out) == (expected < 2)
+    assert not (tmp_path / "records.csv").exists()
+
+
+def test_verify_claims_out_records_the_suite_grid(tmp_path, capsys):
+    from qkneser.qcount import sweep_records
+    from qkneser.verify import claims_params
+
+    records = tmp_path / "records.csv"
+    run(capsys, "verify", "claims", "--qmax", "3", "--nmax", "12", "--out", str(records))
+    assert records.read_text().splitlines() == sweep_records(claims_params(3, 12))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qkneser.errors import NotPrimePowerError, UnsupportedFieldError
-from qkneser.gf import GF, make_field
+from qkneser.gf import _PRIMES_TO_128, GF, make_field
 
 SMALL_SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 LARGE_SUPPORTED = [37, 49, 64, 81, 101, 121, 125, 127, 128]
@@ -72,6 +72,19 @@ def test_gf4_x_squared_reduces():
 
 def test_gf5_inverse():
     assert make_field(5).inv(2) == 3
+
+
+@pytest.mark.parametrize("p", _PRIMES_TO_128)
+def test_prime_field_tables_are_integers_mod_p(p):
+    # prime fields go through the extension-field table builder with the
+    # degree-1 modulus x; its tables must be the plain residues mod p
+    f = GF(p)
+    for a in range(p):
+        assert f.neg(a) == (-a) % p
+        assert [f.add(a, b) for b in range(p)] == [(a + b) % p for b in range(p)]
+        assert [f.mul(a, b) for b in range(p)] == [(a * b) % p for b in range(p)]
+        if a:
+            assert f.inv(a) == pow(a, -1, p)
 
 
 def test_inverse_of_zero_raises():

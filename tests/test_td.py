@@ -7,7 +7,7 @@ from qkneser.ekr import point_pencil
 from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError
 from qkneser.families import cycle_graph, path_graph, random_graph
 from qkneser.graph import Graph, build_qkneser
-from qkneser.qcount import Params
+from qkneser.qcount import Params, tw_value
 from qkneser.td import (
     TreeDecomposition,
     read_td,
@@ -17,7 +17,7 @@ from qkneser.td import (
     write_td,
 )
 from qkneser.twsolve import decomposition_from_order
-from qkneser.verify import unit_subspace
+from qkneser.verify import star_certificate, suite_td, unit_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,15 @@ def test_malformed_trees_rejected():
         validate(g, TreeDecomposition(5, [0b11111], []))  # wrong vertex range
 
 
+def test_bag_vertex_outside_graph_rejected():
+    # n_vertices agrees with the graph, but a bag holds vertex 3 of 0..2
+    g = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(MalformedTreeError, match="vertex 3"):
+        validate(g, TreeDecomposition(3, [0b1111], []))
+    with pytest.raises(MalformedTreeError):
+        validate(g, TreeDecomposition(3, [0b111, 0b1 << 40], [(0, 1)]))
+
+
 # ---------------------------------------------------------------------------
 # star decomposition
 # ---------------------------------------------------------------------------
@@ -157,6 +166,30 @@ def test_star_width_monotone_under_smaller_independent_set():
     smaller = pencil & (pencil - 1)  # drop one vertex
     w_small = width(star_decomposition(g, smaller))
     assert w_small == 28 >= width(star_decomposition(g, pencil))
+
+
+@pytest.mark.parametrize("params, width_, verdict", [
+    (Params(5, 2, 1, 2), 139, "true"),            # complement Grassmann formula
+    (Params(4, 2, 1, 2), 27, "within_window"),    # the open q=2 window [19, 27]
+    # no formula applies; hyperplanes of F_2^4 meet in a plane, so the
+    # graph is edgeless and the star's center holds the 8 vertices off the pencil
+    (Params(4, 3, 1, 2), 7, "undefined"),
+])
+def test_star_certificate_verdicts(params, width_, verdict):
+    cert = star_certificate(build_qkneser(params))
+    assert cert.report.valid
+    assert (cert.width, cert.verdict) == (width_, verdict)
+    assert cert.formula == tw_value(params)
+    assert cert.pencil.bit_count() == len(cert.decomposition.bags) - 1
+
+
+def test_suite_td_checks_and_lines():
+    rep = suite_td()
+    assert rep.ok and rep.checks == 4
+    assert rep.lines == [
+        "q-Kneser q=2 n=7 k=2 t=1: width 2603 = formula, validator passed (64 bags)",
+        "complement Grassmann q=2 n=5 k=2: width 139 = formula, validator passed (16 bags)",
+    ]
 
 
 def test_star_all_vertices_of_edgeless_graph():
