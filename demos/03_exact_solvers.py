@@ -34,7 +34,7 @@ print(f"  omega(K_2(4,2,1)) = {clique_lower_bound(g)} "
       "(five pairwise-disjoint 2-subspaces tile F_2^4 minus the origin)")
 
 print()
-print("Exact treewidth via iterative-deepening elimination search:")
+print("Exact treewidth via elimination search, deciding widths top-down:")
 pet = petersen_graph()
 r = treewidth_exact(pet)
 print(f"  tw(Petersen) = {r.value} ({r.status}, {r.nodes} nodes); certificate "
@@ -45,9 +45,13 @@ print("The open-window instance: co-Grassmann at q=2, n=4, k=2 (35 vertices).")
 w = tw_formula_cograssmann(4, 2, 2)
 print(f"  formula window: [{w.lower}, {w.upper}]")
 cg = build_cograssmann(4, 2, 2)
-r = treewidth_exact(cg, time_budget=240)
+# GL(4,2) acts transitively on the 2-subspaces, so the search may start
+# from vertex 0
+r = treewidth_exact(cg, time_budget=240, vertex_transitive=True)
 print(f"  solver: bracket [{r.lower}, {r.upper}], status {r.status}, "
       f"{r.nodes} nodes")
+for level, verdict, nodes in r.levels:
+    print(f"    width {level}: {verdict} in {nodes} nodes")
 if r.status == "exact":
     print(f"  => tw = {r.value}: the upper endpoint q^4+q^3+q^2-1 is tight at q=2")
 

@@ -4,7 +4,8 @@ Each command returns its report as (key, value) pairs and a verdict; main
 prints them as stable key=value lines from `command=<name>` to
 `elapsed_ms=`, the one field that varies by run.  Exit codes: 0 success or
 all checks verified, 1 verification failure, 2 usage or input error (a file
-the OS cannot open included), 3 resource limit.
+the OS cannot open included), 3 resource limit.  An input error prints one
+`qkneser: error: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -104,12 +105,16 @@ def cmd_solve(args):
     budget_s = args.budget_ms / 1000.0 if args.budget_ms is not None else None
     report = [("input", source), ("task", args.task), ("vertices", g.n_vertices)]
     if args.task == "tw":
-        r = twsolve.treewidth_exact(g, time_budget=budget_s)
+        # GL(n,q) acts transitively on the vertices of K_q(n,k,t); a .gr
+        # file makes no such promise
+        r = twsolve.treewidth_exact(g, time_budget=budget_s, vertex_transitive=not args.gr)
         report += [("value", r.value), ("status", r.status),
                    ("lower", r.lower), ("upper", r.upper), ("nodes", r.nodes)]
         if args.out and r.decomposition is not None:
             write_td(r.decomposition, args.out)
             report.append(("out", args.out))
+        report.append(("levels", ",".join(f"{w}:{verdict}:{nodes}"
+                                          for w, verdict, nodes in r.levels) or "none"))
     else:
         r = ekr.max_independent_set_exact(g, time_budget=budget_s)
         report += [("value", r.size),
@@ -182,11 +187,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except QKneserError as exc:
-        parser.error(str(exc))
-    except OSError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (QKneserError, OSError) as exc:
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
     elapsed_ms = int(1000 * (time.monotonic() - start))
     for key, value in [("command", args.command), *report, ("elapsed_ms", elapsed_ms)]:
         print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")

@@ -1,12 +1,16 @@
 """Exact treewidth and balanced-separator search at desk scale.
 
-Treewidth is computed by iterative-deepening branch and bound over
-elimination orderings: for each candidate width L (starting from the best
-lower bound) a depth-first search with memoization on eliminated-vertex sets
-decides whether some ordering stays within L.  A completed refutation of L
-is an honest lower bound of L+1, so interrupted runs still return a valid
-bracket.  Upper bounds are seeded by the min-fill heuristic; lower bounds by
-minor-min-width and the exact clique number (omega - 1 <= tw).
+Treewidth is computed by branch and bound over elimination orderings
+(Gogate & Dechter, UAI 2004), deciding width levels top-down.  The min-fill
+heuristic gives the first upper bound; minor-min-width and the exact clique
+number (omega - 1 <= tw) give the static lower bound.  Each level asks a
+depth-first search whether some ordering stays within upper-1: a success
+lowers the upper bound to the width of the ordering found, and the first
+refutation proves the upper bound exact.  All levels share one memo of
+refuted eliminated-vertex sets, which is sound because a set refuted at
+width L is refuted at every width below L.  For graphs known to be
+vertex-transitive the root eliminates vertex 0 only.  An interrupted run
+keeps its best ordering, but its lower bound is only the static one.
 
 balanced_separator_search exhaustively looks for a vertex set X of bounded
 size whose removal splits the graph into parts A and B with no A-B edge and
@@ -16,34 +20,38 @@ size whose removal splits the graph into parts A and B with no A-B edge and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .cliques import max_clique
 from .errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
 from .graph import Graph, bits
-from .td import TreeDecomposition
+from .td import TreeDecomposition, width
 
 VERTEX_CAP = 64
 SEPARATOR_VERTEX_CAP = 40
 SEPARATOR_SIZE_CAP = 12
 
 EXACT = "exact"
-LOWER_BOUND_ONLY = "lower_bound_only"
 UPPER_BOUND_ONLY = "upper_bound_only"
+
+FOUND = "found"      # a width level with an ordering that stays within it
+REFUTED = "refuted"  # a width level proven out of reach
 
 
 @dataclass
 class SolveResult:
     value: int
-    status: str  # EXACT, LOWER_BOUND_ONLY or UPPER_BOUND_ONLY
+    status: str  # EXACT or UPPER_BOUND_ONLY
     lower: int
     upper: int
     order: list[int] | None
     decomposition: TreeDecomposition | None
     nodes: int
     elapsed: float
+    # one (width, FOUND or REFUTED, nodes) per decided level, in order
+    levels: list[tuple[int, str, int]] = field(default_factory=list)
 
 
 class _Budget(Exception):
@@ -148,13 +156,17 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
 
 
 def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
-                  state: dict, node_budget: int | None, deadline: float | None) -> bool:
+                  failed: set[int], roots: int, state: dict,
+                  node_budget: int | None, deadline: float | None) -> bool:
     """Does some elimination ordering keep every elimination degree <= target?
-    Fills order_out on success.  Memoizes refuted eliminated-sets."""
-    failed: set[int] = set()
-    full = (1 << n) - 1
 
-    def dfs(rows: list[int], alive: int) -> bool:
+    Fills order_out on success.  `failed` holds the alive-sets refuted so
+    far and gains every one refuted here; a set refuted at some width is
+    refuted at every smaller one, so callers that decide widths in
+    descending order may share it.  The root branches only on the vertices
+    in `roots`."""
+
+    def dfs(rows: list[int], alive: int, m: int) -> bool:
         count = alive.bit_count()
         if count <= target + 1:
             order_out.extend(bits(alive))
@@ -169,7 +181,6 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
         cands = []
         # the search's hot path walks sparse masks inline: O(popcount) per
         # walk, where bits() costs O(bit_length) (2.2x slower on G(28,0.3))
-        m = alive
         while m:
             low = m & -m
             v = low.bit_length() - 1
@@ -199,24 +210,38 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
                 mm ^= lo2
                 new_rows[u] |= nb & ~lo2
             order_out.append(v)
-            if dfs(new_rows, alive & ~(1 << v)):
+            rest = alive & ~(1 << v)
+            if dfs(new_rows, rest, rest):
                 return True
             order_out.pop()
         failed.add(alive)
         return False
 
-    return dfs(rows0, full)
+    return dfs(rows0, (1 << n) - 1, roots)
 
 
 def treewidth_exact(g: Graph, node_budget: int | None = None,
                     time_budget: float | None = None,
-                    cap: int = VERTEX_CAP) -> SolveResult:
+                    cap: int = VERTEX_CAP, vertex_transitive: bool = False) -> SolveResult:
     """Exact treewidth for graphs of at most `cap` vertices.
 
-    Runs width-decision searches for L = lower, lower+1, ... until one
-    succeeds; every refuted level raises the proven lower bound, so budget
-    exhaustion still yields a valid [lower, upper] bracket (status flags
-    which side the returned value certifies).
+    Starts from the min-fill upper bound and the static lower bound
+    max(minor-min-width, omega - 1), then decides widths top-down: it asks
+    for an ordering of width upper-1; a success lowers `upper` to the width
+    of the ordering found and asks again, and the first refutation proves
+    lower = upper.  One refutation memo serves every level, since a set
+    refuted at width L is refuted below L too.  `levels` records each
+    decision as (width, "found" or "refuted", nodes).
+
+    vertex_transitive=True lets the root eliminate only vertex 0: some
+    automorphism maps the first vertex of an optimal ordering to 0.  Pass it
+    only for graphs known to be vertex-transitive, such as K_q(n,k,t) built
+    from its parameters (GL(n,q) is transitive on k-subspaces and keeps
+    intersection dimensions); on other graphs the result may be wrong.
+
+    A run cut short by node_budget or time_budget returns UPPER_BOUND_ONLY
+    with the best ordering found; its `lower` is only the static bound,
+    since no level below the upper bound has been refuted yet.
     """
     n = g.n_vertices
     if n > cap:
@@ -236,33 +261,32 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     )
     lower = max(minor_min_width(g), omega - 1, 0)
 
+    failed: set[int] = set()
+    roots = 1 if vertex_transitive else (1 << n) - 1
+    levels: list[tuple[int, str, int]] = []
     interrupted = False
-    level = lower
-    while level < upper:
+    while lower < upper:
         attempt: list[int] = []
+        before = state["nodes"]
         try:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise _Budget
-            if _decide_width(list(g.rows), n, level, attempt, state,
-                             node_budget, deadline):
-                upper, best_order = level, attempt
-                break
-            lower = level + 1
-            level += 1
+            found = _decide_width(list(g.rows), n, upper - 1, attempt, failed, roots,
+                                  state, node_budget, deadline)
         except _Budget:
             interrupted = True
             break
+        levels.append((upper - 1, FOUND if found else REFUTED, state["nodes"] - before))
+        if not found:
+            lower = upper
+            break
+        upper, best_order = width(decomposition_from_order(g, attempt)), attempt
 
     elapsed = time.monotonic() - start
     decomposition = decomposition_from_order(g, best_order)
-    if not interrupted or lower == upper:
-        value, status = upper, EXACT
-        lower = upper
-    else:
-        value, status = upper, UPPER_BOUND_ONLY
-    return SolveResult(value, status, lower, upper, best_order, decomposition,
-                       state["nodes"], elapsed)
+    status = UPPER_BOUND_ONLY if interrupted else EXACT
+    return SolveResult(upper, status, lower, upper, best_order, decomposition,
+                       state["nodes"], elapsed, levels)
 
 
 # -- balanced separators ------------------------------------------------------

@@ -198,6 +198,41 @@ def test_solve_budget_zero_gives_bracket(capsys):
     assert int(got["lower"]) <= int(got["upper"])
 
 
+def test_solve_tw_from_params_refutes_one_level(capsys):
+    code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
+                    "--task", "tw")
+    got = parse(out)
+    assert code == 0
+    assert got["value"] == "27" and got["status"] == "exact"
+    assert int(got["nodes"]) <= 3000
+    assert got["levels"] == f"26:refuted:{got['nodes']}"
+    assert out.splitlines()[-2].startswith("levels=")
+
+
+@pytest.mark.parametrize("source, promised", [
+    (["--gr", "{tmp}/petersen.gr"], False),
+    (["-q", "2", "-n", "4", "-k", "2", "-t", "1"], True),
+])
+def test_solve_promises_vertex_transitivity_only_for_built_graphs(
+        tmp_path, capsys, monkeypatch, source, promised):
+    from qkneser import twsolve
+    from qkneser.families import petersen_graph
+    from qkneser.graph import write_gr
+
+    write_gr(petersen_graph(), tmp_path / "petersen.gr")
+    calls = []
+    solve = twsolve.treewidth_exact
+
+    def spy(g, **kwargs):
+        calls.append(kwargs)
+        return solve(g, **kwargs)
+
+    monkeypatch.setattr(twsolve, "treewidth_exact", spy)
+    code, _ = run(capsys, "solve", *[a.format(tmp=tmp_path) for a in source], "--task", "tw")
+    assert code == 0
+    assert [c.get("vertex_transitive", False) for c in calls] == [promised]
+
+
 def test_solve_needs_input():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--task", "tw"])
@@ -223,6 +258,19 @@ def test_file_the_os_cannot_open_is_usage_error(tmp_path, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and "No such file or directory" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "degrees", "--qmax", "3"],
+    ["solve", "--gr", "{tmp}/bad.gr"],
+])
+def test_input_error_prints_one_line_without_usage(tmp_path, argv):
+    (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")
+    proc = cli(*[a.format(tmp=tmp_path) for a in argv])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("qkneser: error: ")
+    assert "usage:" not in proc.stderr
     assert proc.stdout == ""
 
 

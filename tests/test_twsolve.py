@@ -11,10 +11,13 @@ from qkneser.families import (
     random_graph,
     random_tree,
 )
-from qkneser.graph import Graph
+from qkneser.graph import Graph, build_cograssmann, build_qkneser
+from qkneser.qcount import Params
 from qkneser.td import validate, width
 from qkneser.twsolve import (
     EXACT,
+    FOUND,
+    REFUTED,
     UPPER_BOUND_ONLY,
     balanced_separator_search,
     clique_lower_bound,
@@ -79,6 +82,64 @@ def test_solver_matches_subset_dp_on_random_graphs():
         assert r.value == tw_by_subset_dp(g), f"seed {seed}"
 
 
+def _static_lower(g):
+    return max(minor_min_width(g), clique_lower_bound(g) - 1, 0)
+
+
+def _check_levels(g, r):
+    """Levels descend strictly, every level but the last is a success, their
+    nodes add up to the total, and an exact value above the static lower
+    bound is settled by refuting value-1."""
+    widths = [w for w, _, _ in r.levels]
+    assert widths == sorted(set(widths), reverse=True)
+    assert all(verdict in (FOUND, REFUTED) and nodes >= 0 for _, verdict, nodes in r.levels)
+    assert all(verdict == FOUND for _, verdict, _ in r.levels[:-1])
+    assert sum(nodes for _, _, nodes in r.levels) == r.nodes
+    if r.status == EXACT and r.value > _static_lower(g):
+        assert r.levels[-1][:2] == (r.value - 1, REFUTED)
+
+
+def test_descending_solver_matches_subset_dp_on_110_random_graphs():
+    for seed in range(110):
+        g = random_graph(4 + seed % 9, 0.15 + 0.07 * (seed % 10), 7000 + seed)
+        r = treewidth_exact(g)
+        assert r.status == EXACT
+        assert r.value == tw_by_subset_dp(g), f"seed {seed}"
+        assert width(r.decomposition) == r.value
+        _check_levels(g, r)
+
+
+def test_levels_descend_through_successes_to_one_refutation():
+    multi = 0
+    for m in (16, 18, 20, 22):
+        for seed in range(12):
+            g = random_graph(m, 0.3 + 0.05 * (seed % 4), 100 * m + seed)
+            r = treewidth_exact(g)
+            assert r.status == EXACT
+            assert width(r.decomposition) == r.value
+            _check_levels(g, r)
+            multi += len(r.levels) >= 2
+    # several of these graphs improve on min-fill before the refutation
+    assert multi >= 5
+
+
+def test_vertex_transitive_root_gives_the_same_value():
+    # the co-Grassmann graph at (4,2) over GF(2) is K_2(4,2,1) itself
+    kq = build_qkneser(Params(4, 2, 1, 2))
+    assert build_cograssmann(4, 2, 2).rows == kq.rows
+    for g in (cycle_graph(5), cycle_graph(8), complete_graph(6), petersen_graph(), kq):
+        plain = treewidth_exact(g)
+        pruned = treewidth_exact(g, vertex_transitive=True)
+        assert pruned.status == plain.status == EXACT
+        assert pruned.value == plain.value
+        assert validate(g, pruned.decomposition).valid
+        assert width(pruned.decomposition) == pruned.value
+        _check_levels(g, pruned)
+    # the last pair is K_2(4,2,1)
+    assert pruned.value == 27 and pruned.levels == [(26, REFUTED, pruned.nodes)]
+    assert pruned.nodes <= 3000 < plain.nodes
+
+
 # ---------------------------------------------------------------------------
 # certificates and bounds
 # ---------------------------------------------------------------------------
@@ -134,6 +195,18 @@ def test_budget_zero_reports_bracket_only():
     assert r.status == UPPER_BOUND_ONLY
     assert r.lower <= 4 <= r.upper == r.value
     assert width(r.decomposition) == r.upper
+
+
+def test_node_budget_mid_search_keeps_the_best_ordering_and_static_lower():
+    # G(36, 0.5): the search finds width 25 in ~1.6k nodes, then needs
+    # ~18k more to refute 24; a budget of 5000 stops it in that refutation
+    g = random_graph(36, 0.5, 36501)
+    r = treewidth_exact(g, node_budget=5000)
+    assert r.status == UPPER_BOUND_ONLY
+    assert r.lower == _static_lower(g) < r.upper == r.value == 25
+    assert width(r.decomposition) == r.upper
+    assert validate(g, r.decomposition).valid
+    assert r.levels == [(25, FOUND, r.levels[0][2])]
 
 
 def test_vertex_cap_guard():
