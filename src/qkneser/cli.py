@@ -2,7 +2,9 @@
 
 Each command returns its report as (key, value) pairs and a verdict; main
 prints them as stable key=value lines from `command=<name>` to
-`elapsed_ms=`, the one field that varies by run.  Exit codes: 0 success or
+`elapsed_ms=`.  Only the `*_ms` timings vary by run: `build` ends with
+`write_ms=` (the .gr export) and `solve --gr` with `read_ms=` (the .gr
+parse), each just ahead of `elapsed_ms=`.  Exit codes: 0 success or
 all checks verified, 1 verification failure, 2 usage or input error (a file
 the OS cannot open included), 3 resource limit.  An input error prints one
 `qkneser: error: <message>` line on stderr.
@@ -33,6 +35,10 @@ def _out_path(args, p: Params, suffix: str) -> str:
     return args.out or os.path.join(os.environ.get("QKNESER_OUT_DIR", "."), name)
 
 
+def _ms_since(start: float) -> int:
+    return int(1000 * (time.monotonic() - start))
+
+
 def _params(args) -> tuple[Params, list]:
     """The Params of -q -n -k -t and their report fields."""
     p = Params(args.n, args.k, args.t, args.q)
@@ -59,8 +65,12 @@ def cmd_build(args):
     p, report = _params(args)
     g = build_qkneser(p, limit=args.limit)
     path = _out_path(args, p, "gr")
+    start = time.monotonic()
     write_gr(g, path)
-    return report + [("vertices", g.n_vertices), ("edges", edge_count(g)), ("out", path)], True
+    write_ms = _ms_since(start)
+    report += [("vertices", g.n_vertices), ("edges", edge_count(g)), ("out", path),
+               ("write_ms", write_ms)]
+    return report, True
 
 
 def cmd_decompose(args):
@@ -93,8 +103,11 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    io_ms = []
     if args.gr:
+        start = time.monotonic()
         g = read_gr(args.gr, limit=args.limit)
+        io_ms.append(("read_ms", _ms_since(start)))
         source = args.gr
     elif None in (args.q, args.n, args.k, args.t):
         raise UsageError("solve needs either --gr PATH or all of -q -n -k -t")
@@ -123,7 +136,7 @@ def cmd_solve(args):
         if args.out:
             ekr.write_vertex_set(r.members, args.out)
             report.append(("out", args.out))
-    return report, True
+    return report + io_ms, True
 
 
 def _add_param_flags(sub, required: bool) -> None:
@@ -189,7 +202,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except (QKneserError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
-    elapsed_ms = int(1000 * (time.monotonic() - start))
+    elapsed_ms = _ms_since(start)
     for key, value in [("command", args.command), *report, ("elapsed_ms", elapsed_ms)]:
         print(f"{key}={str(value).lower() if isinstance(value, bool) else value}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -15,12 +15,28 @@ intersection test per vertex pair.
 bits() is the one way to walk a packed row: it returns the set bits of a
 mask in ascending order.
 
-Includes a reader/writer for the PACE 2017 .gr format.
+Includes a reader/writer for the PACE 2017 .gr format.  write_gr joins each
+row's precomputed "<v>\n" strings behind its "<u> " head, with no
+formatting per edge.  read_gr pulls UTF-8 text lines in batches of about
+_BATCH_HINT characters.  After the header, a batch that is nothing but
+"<u> <v>" lines of canonical in-range ids with no self-loop goes to the
+rows in bulk: one split, one dict lookup per id, one OR per edge end
+against a table of single-bit rows.  Every other batch (header, comments,
+blank lines, other spacing, any bad line) goes through the per-line loop,
+the one place that accepts or rejects a line and names it by path:lineno;
+tests/bruteforce.py keeps the per-line reader alone as the oracle.  Beyond
+the rows themselves (at most n^2/8 bytes), a read holds the bit table
+(about n^2/16 bytes, n within the vertex limit), the id dict and one
+batch.
 """
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
+from operator import is_
 
 from .errors import MalformedFileError, TooLargeError
 from .gf import make_field
@@ -29,10 +45,29 @@ from .subspace import Subspace, canonicalize, enumerate_subspaces
 
 VERTEX_LIMIT = 5000
 
+# read_gr pulls lines in batches of about this many characters
+_BATCH_HINT = 1 << 14
+# a batch that is nothing but edge lines: two ASCII-digit ids, one space
+_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+# bin() digits to compress() selectors: b"1" -> 1, every other byte -> 0
+_ONE_FLAGS = bytes(c == ord("1") for c in range(256))
+
 
 def bits(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative mask, ascending."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    flags = bin(mask)[:1:-1].encode().translate(_ONE_FLAGS)
+    return list(compress(range(len(flags)), flags))
+
+
+@contextmanager
+def open_utf8(path):
+    """Open a .gr/.td file as UTF-8 text; bytes that do not decode raise
+    MalformedFileError naming path, wherever the reader meets them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_ints(tokens, path, lineno: int) -> list[int]:
@@ -243,57 +278,94 @@ def write_gr(g: Graph, path) -> None:
         if tw_formula_applies(p):
             lines.append(f"c tw={tw_formula_qkneser(p)}")
     lines.append(f"p tw {g.n_vertices} {edge_count(g)}")
+    ids = [f"{v + 1}\n" for v in range(g.n_vertices)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         for u, row in enumerate(g.rows):
-            head, first = f"{u + 1} ", u + 2  # first: 1-indexed id of bit 0 below
-            fh.write("".join([f"{head}{v + first}\n" for v in bits(row >> (u + 1))]))
+            later = bits(row >> (u + 1))
+            if later:
+                head, tail = f"{u + 1} ", ids[u + 1:]
+                fh.write(head + head.join(map(tail.__getitem__, later)))
 
 
 def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
-    """Parse a PACE 2017 .gr file; comments are preserved on the Graph.
-    A header declaring more than limit vertices raises TooLargeError
-    before any edge line is read.  A repeated edge line is accepted and
-    counted once."""
+    """Parse a PACE 2017 .gr file (UTF-8 text); comments are preserved on
+    the Graph.  A header declaring more than limit vertices raises
+    TooLargeError before any edge line is read.  A repeated edge line is
+    accepted and counted once."""
     comments = []
     n = None
     declared_m = None
+    # rows and one are indexed by 1-based vertex id; index 0 is padding
     rows: list[int] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
+    one: list[int] = []
+    id_of: dict[str, int] = {}
+    lineno = 0
+    with open_utf8(path) as fh:
+        while batch := fh.readlines(_BATCH_HINT):
+            if n is not None and _bulk_edges(batch, id_of, rows, one):
+                lineno += len(batch)
                 continue
-            if line.startswith("c"):
-                comments.append(line)
-                continue
-            parts = line.split()
-            if parts[0] == "p":
-                if n is not None:
-                    raise MalformedFileError(f"{path}:{lineno}: duplicate header")
-                if len(parts) != 4 or parts[1] != "tw":
-                    raise MalformedFileError(f"{path}:{lineno}: bad header {line!r}")
-                n, declared_m = parse_ints(parts[2:], path, lineno)
-                if n < 0 or declared_m < 0:
-                    raise MalformedFileError(f"{path}:{lineno}: negative count in header {line!r}")
-                if n > limit:
-                    raise TooLargeError(
-                        f"{path}:{lineno}: {n} vertices exceed vertex limit {limit}")
-                rows = [0] * n
-                continue
-            if n is None:
-                raise MalformedFileError(f"{path}:{lineno}: edge before header")
-            if len(parts) != 2:
-                raise MalformedFileError(f"{path}:{lineno}: bad edge line {line!r}")
-            u, v = parse_ints(parts, path, lineno)
-            if not (0 < u <= n and 0 < v <= n) or u == v:
-                raise MalformedFileError(f"{path}:{lineno}: edge out of range {line!r}")
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
+            for raw in batch:
+                lineno += 1
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("c"):
+                    comments.append(line)
+                    continue
+                parts = line.split()
+                if parts[0] == "p":
+                    if n is not None:
+                        raise MalformedFileError(f"{path}:{lineno}: duplicate header")
+                    if len(parts) != 4 or parts[1] != "tw":
+                        raise MalformedFileError(f"{path}:{lineno}: bad header {line!r}")
+                    n, declared_m = parse_ints(parts[2:], path, lineno)
+                    if n < 0 or declared_m < 0:
+                        raise MalformedFileError(
+                            f"{path}:{lineno}: negative count in header {line!r}")
+                    if n > limit:
+                        raise TooLargeError(
+                            f"{path}:{lineno}: {n} vertices exceed vertex limit {limit}")
+                    rows = [0] * (n + 1)
+                    one = [0, *(1 << i for i in range(n))]
+                    id_of = {str(i): i for i in range(1, n + 1)}
+                    continue
+                if n is None:
+                    raise MalformedFileError(f"{path}:{lineno}: edge before header")
+                if len(parts) != 2:
+                    raise MalformedFileError(f"{path}:{lineno}: bad edge line {line!r}")
+                u, v = parse_ints(parts, path, lineno)
+                if not (0 < u <= n and 0 < v <= n) or u == v:
+                    raise MalformedFileError(f"{path}:{lineno}: edge out of range {line!r}")
+                rows[u] |= one[v]
+                rows[v] |= one[u]
     if n is None:
         raise MalformedFileError(f"{path}: missing `p tw` header")
-    g = Graph(n, rows, comments=comments)
+    g = Graph(n, rows[1:], comments=comments)
     m = edge_count(g)
     if m != declared_m:
         raise MalformedFileError(f"{path}: header declares {declared_m} edges, found {m}")
     return g
+
+
+def _bulk_edges(batch: list[str], id_of: dict[str, int], rows: list[int],
+                one: list[int]) -> bool:
+    """Add a batch of plain edge lines to rows and return True; or change
+    nothing and return False when the batch holds anything else (a comment,
+    a blank line, an id outside 1..n or a self-loop), so that the per-line
+    loop reads it and names any bad line."""
+    text = "".join(batch)
+    if not _EDGE_LINES.fullmatch(text):
+        return False
+    try:
+        ends = list(map(id_of.__getitem__, text.split()))
+    except KeyError:  # outside 1..n, or not in canonical decimal form
+        return False
+    us, vs = ends[0::2], ends[1::2]
+    if any(map(is_, us, vs)):  # equal ids are one object, both from id_of
+        return False
+    for u, v in zip(us, vs):
+        rows[u] |= one[v]
+        rows[v] |= one[u]
+    return True

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .ekr import is_independent
 from .errors import MalformedFileError, MalformedTreeError, NotIndependentError
-from .graph import Graph, bits, parse_ints
+from .graph import Graph, bits, open_utf8, parse_ints
 
 
 @dataclass
@@ -198,7 +198,7 @@ def read_td(path) -> TreeDecomposition:
     header = None
     bags: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("c"):

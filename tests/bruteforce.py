@@ -2,13 +2,15 @@
 
 Deliberately naive implementations (literal ordering enumeration, exhaustive
 dynamic programming, unpruned clique extension, span deduplication, pairwise
-intersection counting) that share no code with the solvers they check.
+intersection counting, a one-line-at-a-time .gr reader) that share no code
+with the solvers and bulk routes they check.
 """
 
 from itertools import combinations, permutations
 
+from qkneser.errors import MalformedFileError, TooLargeError
 from qkneser.gf import GF
-from qkneser.graph import Graph
+from qkneser.graph import VERTEX_LIMIT, Graph, edge_count, parse_ints
 from qkneser.subspace import canonicalize
 
 
@@ -184,3 +186,50 @@ def uncovered_edges(g: Graph, bags: list[int]) -> list[tuple[int, int]]:
         if (g.rows[u] >> v) & 1
         and not any((b >> u) & 1 and (b >> v) & 1 for b in bags)
     ]
+
+
+def read_gr_lines(path, limit: int = VERTEX_LIMIT) -> Graph:
+    """The .gr reader as it was before edge lines were parsed in bulk: one
+    line at a time, one edge at a time.  Same errors, same messages."""
+    comments = []
+    n = None
+    declared_m = None
+    rows: list[int] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("c"):
+                comments.append(line)
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if n is not None:
+                    raise MalformedFileError(f"{path}:{lineno}: duplicate header")
+                if len(parts) != 4 or parts[1] != "tw":
+                    raise MalformedFileError(f"{path}:{lineno}: bad header {line!r}")
+                n, declared_m = parse_ints(parts[2:], path, lineno)
+                if n < 0 or declared_m < 0:
+                    raise MalformedFileError(f"{path}:{lineno}: negative count in header {line!r}")
+                if n > limit:
+                    raise TooLargeError(
+                        f"{path}:{lineno}: {n} vertices exceed vertex limit {limit}")
+                rows = [0] * n
+                continue
+            if n is None:
+                raise MalformedFileError(f"{path}:{lineno}: edge before header")
+            if len(parts) != 2:
+                raise MalformedFileError(f"{path}:{lineno}: bad edge line {line!r}")
+            u, v = parse_ints(parts, path, lineno)
+            if not (0 < u <= n and 0 < v <= n) or u == v:
+                raise MalformedFileError(f"{path}:{lineno}: edge out of range {line!r}")
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+    if n is None:
+        raise MalformedFileError(f"{path}: missing `p tw` header")
+    g = Graph(n, rows, comments=comments)
+    m = edge_count(g)
+    if m != declared_m:
+        raise MalformedFileError(f"{path}: header declares {declared_m} edges, found {m}")
+    return g

@@ -301,6 +301,19 @@ def test_report_runs_from_command_to_elapsed_ms(tmp_path, capsys, argv):
         assert report[1:5] == ["q=2", "n=4", "k=2", "t=1"]
 
 
+@pytest.mark.parametrize("task", ["tw", "mis"])
+def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
+    gr = str(tmp_path / "g.gr")
+    _, built = run(capsys, "build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--out", gr)
+    _, solved = run(capsys, "solve", "--gr", gr, "--task", task)
+    _, from_params = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
+                         "--task", task)
+    for out, field in [(built, "write_ms"), (solved, "read_ms")]:
+        key, _, value = out.splitlines()[-2].partition("=")
+        assert key == field and value.isdigit()
+    assert "read_ms=" not in from_params
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["params", "-q", "2", "-n", "4", "-k", "2", "-t", "1"], 0),
     (["verify", "claims", "--qmax", "2", "--nmax", "14"], 1),
@@ -315,9 +328,13 @@ def test_report_runs_from_command_to_elapsed_ms(tmp_path, capsys, argv):
     (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "34",
       "--out", "{tmp}/g.gr"], 3),
     (["solve", "--gr", "{tmp}/bad.gr", "--limit", "2"], 3),        # header checked first
+    (["solve", "--gr", "{tmp}/latin1.gr"], 2),                     # not UTF-8
+    (["solve", "--gr", "{tmp}/latin1_late.gr", "--task", "mis"], 2),  # in a later batch
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
     (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")
+    (tmp_path / "latin1.gr").write_bytes(b"p tw 3 1\n1 2\xff\n")
+    (tmp_path / "latin1_late.gr").write_bytes(b"p tw 2 1\n" + b"1 2\n" * 10000 + b"2 1\xff\n")
     assert exit_code([a.format(tmp=tmp_path) for a in argv]) == expected
     out = capsys.readouterr().out
     # a usage, input or resource error prints no report

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,11 +8,14 @@ from bruteforce import (
     intersection_histograms,
     pairwise_meets,
     qkneser_rows_pairwise,
+    read_gr_lines,
     vector_masks,
 )
 from qkneser.errors import MalformedFileError, NotPrimePowerError, TooLargeError
 from qkneser.gf import make_field
 from qkneser.graph import (
+    _BATCH_HINT,
+    VERTEX_LIMIT,
     Graph,
     bits,
     build_cograssmann,
@@ -241,3 +245,129 @@ def test_gr_rejects_non_integer_and_negative_tokens(tmp_path, text, lineno):
     path.write_text(text)
     with pytest.raises(MalformedFileError, match=f"bad.gr:{lineno}:"):
         read_gr(path)
+
+
+def test_gr_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.gr"
+    path.write_bytes(b"p tw 3 1\n1 2\xff\n")
+    with pytest.raises(MalformedFileError, match="latin1.gr: not UTF-8 text"):
+        read_gr(path)
+
+
+def test_gr_roundtrip_across_many_batches(tmp_path):
+    g = build_qkneser(Params(5, 2, 1, 3))
+    path = tmp_path / "k.gr"
+    write_gr(g, path)
+    # 637,065 edge lines, several hundred batches through the bulk route
+    assert path.stat().st_size > 300 * _BATCH_HINT
+    back = read_gr(path)
+    assert back.n_vertices == g.n_vertices == 1210
+    assert back.rows == g.rows
+
+
+# ids written other ways that int() still reads as the same vertex
+_ID_SPELLINGS = [
+    lambda v: f"+{v}",
+    lambda v: f"00{v}",
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda v: str(v).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+]
+# lines the per-line reader rejects, by the n they are written for
+_BAD_LINES = [
+    lambda n: f"{n} {n}",
+    lambda n: f"0 {n}",
+    lambda n: f"1 {n + 1}",
+    lambda n: "1 two",
+    lambda n: "1.0 2",
+    lambda n: f"1 2 {n}",
+    lambda n: "1",
+    lambda n: f"-1 {n}",
+    lambda n: f"p tw {n} 1",
+    lambda n: "2 é",
+]
+_BAD_HEADERS = ["p tw 3", "p td 3 1", "p tw x 1", "p tw -1 0", "p tw 3 -2", "q tw 3 1"]
+
+
+def _odd_line(rng: random.Random, u: int, v: int) -> str:
+    """The edge uv with other spacing and, now and then, other id spellings."""
+    ids = [rng.choice(_ID_SPELLINGS)(x) if rng.random() < 0.3 else str(x) for x in (u, v)]
+    gap = rng.choice([" ", "\t", "  ", " \t "])
+    return rng.choice(["", " ", "\t"]) + gap.join(ids) + rng.choice(["", " ", "\t"])
+
+
+def _random_gr(rng: random.Random, big: bool) -> tuple[str, int]:
+    """A .gr text and the vertex limit to read it with.  Mostly well formed:
+    comments and blank lines after the header, tabs, odd spacing, other id
+    spellings, repeated edges, three kinds of line end.  A quarter carry one
+    defect; half of the big files (over 64 KB) carry one near their end."""
+    if big:
+        n = rng.randint(300, 400)
+        ends = rng.choices(range(1, n + 1), k=2 * rng.randint(9000, 11000))
+        pairs = [(u, v) for u, v in zip(ends[0::2], ends[1::2]) if u != v]
+        body = [f"{u} {v}" for u, v in pairs]
+        # a few odd lines, so that some batches go line by line
+        for _ in range(rng.randint(0, 4)):
+            at = rng.randrange(len(body))
+            body[at] = _odd_line(rng, *pairs[at])
+    else:
+        n = rng.randint(0, 30)
+        pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 40) * (n > 1))]
+        body = []
+        for u, v in pairs:
+            if rng.random() < 0.05:
+                body.append(rng.choice(["", "   ", "\t", f"c note {rng.randint(0, 99)}"]))
+            body.append(_odd_line(rng, u, v) if rng.random() < 0.3 else f"{u} {v}")
+            if rng.random() < 0.05:
+                body.append(f"{v} {u}")  # a repeated edge, counted once
+    m = len({(min(u, v), max(u, v)) for u, v in pairs})
+    head = [f"c made by test {rng.randint(0, 9)}"] * rng.randint(0, 2) + [f"p tw {n} {m}"]
+    if rng.random() < 0.05:
+        head.insert(0, "")
+    if big and rng.random() < 0.5:
+        body.insert(len(body) - rng.randint(0, 50), rng.choice(_BAD_LINES)(n))
+    elif not big and rng.random() < 0.25:
+        kind = rng.random()
+        if kind < 0.6:
+            body.insert(rng.randint(0, len(body)), rng.choice(_BAD_LINES)(n))
+        elif kind < 0.75:
+            head[-1] = rng.choice(_BAD_HEADERS)
+        elif kind < 0.85:
+            head[-1] = f"p tw {n} {m + rng.choice([-1, 1, 5])}"
+        elif kind < 0.95:
+            head, body = [], ["1 2"] + head + body  # an edge line before the header
+        else:
+            head = []  # no header at all
+    newline = rng.choice(["\n", "\r\n", "\r"])
+    text = newline.join(head + body) + (newline if rng.random() < 0.8 else "")
+    limit = n - 1 if n > 0 and rng.random() < 0.03 else VERTEX_LIMIT
+    return text, limit
+
+
+def _outcome(reader, path, limit):
+    try:
+        g = reader(path, limit=limit)
+    except (MalformedFileError, TooLargeError) as exc:
+        return type(exc), str(exc)
+    return g.n_vertices, g.rows, g.comments
+
+
+def test_read_gr_matches_line_oracle_on_seeded_inputs(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "fuzz.gr"
+    read_ok = failed = late_in_big = 0
+    for case in range(600):
+        big = case % 25 == 0
+        text, limit = _random_gr(rng, big)
+        path.write_bytes(text.encode("utf-8"))
+        assert not big or len(text) > 64 * 1024
+        got = _outcome(read_gr, path, limit)
+        assert got == _outcome(read_gr_lines, path, limit), (case, text[:200])
+        if isinstance(got[0], int):
+            read_ok += 1
+            continue
+        failed += 1
+        where = re.match(r".*fuzz\.gr:(\d+):", got[1])
+        # big files have lines of about 8 bytes: this one sits in a later batch
+        late_in_big += big and where is not None and int(where[1]) > 2 * _BATCH_HINT // 8
+    assert read_ok >= 300 and failed >= 100
+    assert late_in_big >= 5

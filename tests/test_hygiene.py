@@ -1,6 +1,9 @@
 """Source-level checks on the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qkneser"
@@ -17,3 +20,19 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_imports_only_the_standard_library():
+    # the package declares dependencies = []: importing the CLI in a fresh
+    # interpreter may load nothing outside the standard library and qkneser
+    probe = (
+        "import sys; before = set(sys.modules); import qkneser.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout.split()
+    assert "qkneser.cli" in out
+    outside = [m for m in out if m.split(".")[0] not in sys.stdlib_module_names | {"qkneser"}]
+    assert outside == []

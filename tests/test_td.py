@@ -253,3 +253,60 @@ def test_td_rejects_non_integer_tokens_and_missing_bag_id(tmp_path, text, lineno
     path.write_text(text)
     with pytest.raises(MalformedFileError, match=f"bad.td:{lineno}:"):
         read_td(path)
+
+
+def test_td_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.td"
+    path.write_bytes(b"c caf\xe9\ns td 1 1 1\nb 1 1\n")
+    with pytest.raises(MalformedFileError, match="latin1.td: not UTF-8 text"):
+        read_td(path)
+
+
+# small tokens and raw bytes spliced into valid .td files; every number
+# stays small, so no declared count asks for a large allocation
+_TD_TOKENS = ["x", "+3", "٣", "-1", "0", "2", "49", "b", "s", "td", "c", "1.5", "", "\t", "é"]
+_TD_BYTES = [b"\xff", b"\xc3", b"\x80", b"\r", b"\n", b" "]
+
+
+def _mutated_td(rng: random.Random, path) -> bytes:
+    g = random_graph(rng.randint(1, 12), rng.random(), seed=rng.randrange(10**6))
+    write_td(decomposition_from_order(g, rng.sample(range(g.n_vertices), g.n_vertices)), path)
+    lines = path.read_text().splitlines()
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randrange(len(lines))
+        tokens = lines[at].split()
+        action = rng.randrange(4)
+        if action == 0 and tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(_TD_TOKENS)
+        elif action == 1:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(_TD_TOKENS))
+        elif action == 2:
+            lines.insert(at, lines[at])
+            continue
+        else:
+            del lines[at]
+            if not lines:
+                break
+            continue
+        lines[at] = " ".join(tokens)
+    data = bytearray("\n".join(lines).encode("utf-8"))
+    if rng.random() < 0.2:
+        at = rng.randint(0, len(data))
+        data[at:at] = rng.choice(_TD_BYTES)
+    return bytes(data)
+
+
+def test_read_td_gives_a_decomposition_or_malformed_file_error(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "fuzz.td"
+    outcomes = {TreeDecomposition: 0, MalformedFileError: 0}
+    for _ in range(500):
+        path.write_bytes(_mutated_td(rng, path))
+        try:
+            result = read_td(path)
+        except MalformedFileError:
+            outcomes[MalformedFileError] += 1
+        else:
+            assert isinstance(result, TreeDecomposition)
+            outcomes[TreeDecomposition] += 1
+    assert min(outcomes.values()) >= 100
