@@ -54,10 +54,8 @@ from .graph import (
     write_gr,
 )
 from .ekr import (
-    MisResult,
     is_independent,
     max_independent_set_exact,
-    maximum_independent_sets,
     nest_family,
     point_pencil,
 )

@@ -2,9 +2,10 @@
 
 Branch and bound with a greedy-coloring upper bound (candidates are colored
 sequentially; a clique cannot exceed the number of color classes), branching
-on the highest-bound candidates first.  One engine serves both the clique
-lower bound for the treewidth solver and, applied to the complement graph,
-the exact maximum-independent-set solver.
+on the highest-bound candidates first.  This is the package's one clique
+engine: it gives the clique lower bound for the treewidth solver and,
+applied to the complement graph, the exact maximum-independent-set solver,
+whose result is the same CliqueResult.
 
 Budgets are node counts plus wall clock; when exceeded the best clique found
 so far is returned explicitly flagged as inexact, never silently.
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-from .graph import bits
 
 
 @dataclass
@@ -94,20 +93,3 @@ def max_clique(rows: list[int], node_budget: int | None = None,
     return CliqueResult(state["best"], state["members"], exact,
                         state["nodes"], time.monotonic() - start)
 
-
-def maximal_cliques(rows: list[int]):
-    """Yield every maximal clique (as a bitmask), Bron-Kerbosch with pivot."""
-    n = len(rows)
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            yield r
-            return
-        pivot = max(bits(p | x), key=lambda v: (rows[v] & p).bit_count())
-        for v in bits(p & ~rows[pivot]):
-            yield from bk(r | (1 << v), p & rows[v], x & rows[v])
-            p ^= 1 << v
-            x |= 1 << v
-
-    if n:
-        yield from bk(0, (1 << n) - 1, 0)

@@ -9,14 +9,14 @@ K_q(n,k,t).  The two extremal constructions are implemented directly:
   (size [n-t, k]_q = [n-t, k-t]_q, the other equality case).
 
 Vertex sets are bitmasks over the graph's vertex range.  The exact solver
-reduces maximum independent set to maximum clique on the complement graph.
+reduces maximum independent set to maximum clique on the complement graph
+and returns the clique engine's CliqueResult after checking that its
+members are independent in the graph itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cliques import CliqueResult, max_clique, maximal_cliques
+from .cliques import CliqueResult, max_clique
 from .errors import DimMismatchError, NotIndependentError, OutOfRangeError
 from .graph import Graph, bits
 from .subspace import Subspace
@@ -57,43 +57,18 @@ def is_independent(g: Graph, members: int) -> bool:
     return not any(g.rows[v] & members for v in bits(members))
 
 
-@dataclass
-class MisResult:
-    size: int
-    members: int  # vertex bitmask
-    exact: bool   # False: budget ran out, size is only a lower bound
-    nodes: int
-    elapsed: float
-
-
 def max_independent_set_exact(g: Graph, node_budget: int | None = None,
-                              time_budget: float | None = None) -> MisResult:
-    """Exact maximum independent set (= maximum clique of the complement).
+                              time_budget: float | None = None) -> CliqueResult:
+    """Exact maximum independent set: the maximum clique of the complement,
+    returned as its CliqueResult once its members are checked independent.
 
     On budget exhaustion the best set found is returned with exact=False;
     an inexact size is a valid lower bound for alpha, never reported as it.
     """
-    comp = g.complement()
-    r: CliqueResult = max_clique(comp.rows, node_budget=node_budget,
-                                 time_budget=time_budget)
+    r = max_clique(g.complement().rows, node_budget=node_budget, time_budget=time_budget)
     if not is_independent(g, r.members):
         raise NotIndependentError("clique search returned a set that induces an edge")
-    return MisResult(r.size, r.members, r.exact, r.nodes, r.elapsed)
-
-
-def maximum_independent_sets(g: Graph) -> list[int]:
-    """All maximum independent sets, via maximal-clique enumeration on the
-    complement.  Exponential in general; meant for desk-scale instances."""
-    comp = g.complement()
-    best: list[int] = []
-    best_size = 0
-    for mask in maximal_cliques(comp.rows):
-        size = mask.bit_count()
-        if size > best_size:
-            best, best_size = [mask], size
-        elif size == best_size:
-            best.append(mask)
-    return sorted(best)
+    return r
 
 
 def write_vertex_set(members: int, path) -> None:

@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .ekr import is_independent
-from .errors import MalformedFileError, MalformedTreeError, NotIndependentError
-from .graph import Graph, bits, open_utf8, parse_ints
+from .errors import MalformedFileError, MalformedTreeError, NotIndependentError, TooLargeError
+from .graph import VERTEX_LIMIT, Graph, bits, open_utf8, parse_ints
 
 
 @dataclass
@@ -195,6 +195,9 @@ def write_td(d: TreeDecomposition, path) -> None:
 
 
 def read_td(path) -> TreeDecomposition:
+    """Parse a PACE 2017 .td file (UTF-8 text).  A negative count in the
+    `s td` line is malformed, and a declared vertex count above
+    graph.VERTEX_LIMIT raises TooLargeError before any bag line is read."""
     header = None
     bags: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
@@ -210,6 +213,12 @@ def read_td(path) -> TreeDecomposition:
                 if len(parts) != 5 or parts[1] != "td":
                     raise MalformedFileError(f"{path}:{lineno}: bad solution line {line!r}")
                 header = parse_ints(parts[2:], path, lineno)
+                if min(header) < 0:
+                    raise MalformedFileError(
+                        f"{path}:{lineno}: negative count in solution line {line!r}")
+                if header[2] > VERTEX_LIMIT:
+                    raise TooLargeError(
+                        f"{path}:{lineno}: {header[2]} vertices exceed vertex limit {VERTEX_LIMIT}")
                 continue
             if header is None:
                 raise MalformedFileError(f"{path}:{lineno}: data before `s td` line")
@@ -233,6 +242,7 @@ def read_td(path) -> TreeDecomposition:
     if header is None:
         raise MalformedFileError(f"{path}: missing `s td` line")
     n_bags, _, n_vertices = header
-    if set(bags) != set(range(1, n_bags + 1)):
+    # bag ids are distinct, so n_bags of them in 1..n_bags are exactly those
+    if len(bags) != n_bags or not all(1 <= b <= n_bags for b in bags):
         raise MalformedFileError(f"{path}: expected bag ids 1..{n_bags}")
     return TreeDecomposition(n_vertices, [bags[i] for i in range(1, n_bags + 1)], edges)

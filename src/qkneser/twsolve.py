@@ -14,14 +14,15 @@ keeps its best ordering, but its lower bound is only the static one.
 
 balanced_separator_search exhaustively looks for a vertex set X of bounded
 size whose removal splits the graph into parts A and B with no A-B edge and
-(1-p)|V-X| <= |A|, |B| <= p|V-X|; it certifies non-existence within the cap.
+|V-X|/3 <= |A|, |B| <= 2|V-X|/3, the balance of Robertson & Seymour (Graph
+Minors II, 1986); it certifies non-existence within the cap.  The parts are
+grouped greedily, largest component first, which is exact for this balance.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .cliques import max_clique
@@ -30,6 +31,7 @@ from .graph import Graph, bits
 from .td import TreeDecomposition, width
 
 VERTEX_CAP = 64
+CLIQUE_NODE_BUDGET = 2_000_000
 SEPARATOR_VERTEX_CAP = 40
 SEPARATOR_SIZE_CAP = 12
 
@@ -116,13 +118,13 @@ def minor_min_width(g: Graph) -> int:
     return mmw
 
 
-def clique_lower_bound(g: Graph, node_budget: int | None = 2_000_000,
-                       time_budget: float | None = None) -> int:
-    """Exact maximum clique size (omega - 1 <= tw).  If the budget runs out
-    the best clique found is still a valid bound and is returned."""
+def clique_lower_bound(g: Graph, time_budget: float | None = None) -> int:
+    """Exact maximum clique size (omega - 1 <= tw).  If CLIQUE_NODE_BUDGET or
+    the time budget runs out the best clique found is still a valid bound
+    and is returned."""
     if g.n_vertices == 0:
         return 0
-    return max_clique(g.rows, node_budget=node_budget, time_budget=time_budget).size
+    return max_clique(g.rows, node_budget=CLIQUE_NODE_BUDGET, time_budget=time_budget).size
 
 
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
@@ -222,8 +224,8 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
 
 def treewidth_exact(g: Graph, node_budget: int | None = None,
                     time_budget: float | None = None,
-                    cap: int = VERTEX_CAP, vertex_transitive: bool = False) -> SolveResult:
-    """Exact treewidth for graphs of at most `cap` vertices.
+                    vertex_transitive: bool = False) -> SolveResult:
+    """Exact treewidth for graphs of at most VERTEX_CAP vertices.
 
     Starts from the min-fill upper bound and the static lower bound
     max(minor-min-width, omega - 1), then decides widths top-down: it asks
@@ -244,8 +246,8 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     since no level below the upper bound has been refuted yet.
     """
     n = g.n_vertices
-    if n > cap:
-        raise TooLargeError(f"{n} vertices exceeds solver cap {cap}")
+    if n > VERTEX_CAP:
+        raise TooLargeError(f"{n} vertices exceeds solver cap {VERTEX_CAP}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     state = {"nodes": 0}
@@ -323,15 +325,24 @@ def _components(rows: list[int], alive: int) -> list[int]:
     return comps
 
 
-def balanced_separator_search(g: Graph, size_cap: int, p: Fraction = Fraction(2, 3)):
+def balanced_separator_search(g: Graph, size_cap: int):
     """Smallest vertex set X with |X| <= size_cap such that V - X splits
     into parts A, B (unions of components, no A-B edge) with
 
-        (1-p) * |V - X|  <=  |A|, |B|  <=  p * |V - X|.
+        lo = ceil(r/3)  <=  |A|, |B|  <=  hi = floor(2r/3),   r = |V - X|.
 
     Exhaustive over all candidate sets in deterministic order; returns a
     SeparatorWitness or None when none exists within the cap.  Guarded to
     |V| <= 40 and size_cap <= 12.
+
+    For each X, A takes the components of G - X largest first until
+    |A| >= lo; a balanced split exists iff then |A| <= hi (lo + hi = r, so
+    |B| = r - |A| is in range too).  This is exact: if the largest
+    component c1 has at least lo vertices, A = c1, and when c1 > hi every
+    union containing c1 is above hi while every union without it has at
+    most r - c1 < lo vertices.  If c1 < lo, the sum is at most lo - 1
+    before its last step and that step adds at most lo - 1, so it stops at
+    most at 2lo - 2 <= hi.
     """
     n = g.n_vertices
     if n > SEPARATOR_VERTEX_CAP or size_cap > SEPARATOR_SIZE_CAP:
@@ -339,9 +350,6 @@ def balanced_separator_search(g: Graph, size_cap: int, p: Fraction = Fraction(2,
             f"exhaustive search limited to |V| <= {SEPARATOR_VERTEX_CAP} "
             f"and cap <= {SEPARATOR_SIZE_CAP}, got |V|={n} cap={size_cap}"
         )
-    p = Fraction(p)
-    if not Fraction(2, 3) <= p < 1:
-        raise ValueError(f"p must lie in [2/3, 1), got {p}")
     full = (1 << n) - 1
     for size in range(min(size_cap, n) + 1):
         for combo in combinations(range(n), size):
@@ -350,29 +358,12 @@ def balanced_separator_search(g: Graph, size_cap: int, p: Fraction = Fraction(2,
                 x_mask |= 1 << v
             rest = full & ~x_mask
             r = rest.bit_count()
-            lo_f = (1 - p) * r
-            hi_f = p * r
-            lo = -((-lo_f.numerator) // lo_f.denominator) if r else 0  # ceil
-            hi = hi_f.numerator // hi_f.denominator  # floor
-            if lo > hi:
-                continue
-            comps = _components(g.rows, rest)
-            sizes = [c.bit_count() for c in comps]
-            # suffix[i] = bitmask of sums achievable from components i..end
-            suffix = [1] * (len(sizes) + 1)
-            for i in range(len(sizes) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] | (suffix[i + 1] << sizes[i])
-            windows = suffix[0] & (((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1))
-            if not windows:
-                continue
-            target = (windows & -windows).bit_length() - 1
+            lo, hi = -(-r // 3), 2 * r // 3
             side_a = 0
-            need = target
-            for i, (c, s) in enumerate(zip(comps, sizes)):
-                if not (suffix[i + 1] >> need) & 1:  # cannot skip component i
-                    side_a |= c
-                    need -= s
-            if need != 0 or side_a.bit_count() != target:
-                raise RuntimeError(f"subset-sum reconstruction missed target {target}")
-            return SeparatorWitness(x_mask, side_a, rest & ~side_a)
+            for c in sorted(_components(g.rows, rest), key=int.bit_count, reverse=True):
+                if side_a.bit_count() >= lo:
+                    break
+                side_a |= c
+            if side_a.bit_count() <= hi:
+                return SeparatorWitness(x_mask, side_a, rest & ~side_a)
     return None

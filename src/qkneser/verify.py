@@ -102,16 +102,16 @@ def star_certificate(g) -> StarCertificate:
     return StarCertificate(pencil, d, validate(g, d), w, formula, verdict)
 
 
-def buildable_instances(qs=(2, 3), max_vertices: int = 3000):
-    """All Params (q, n, k, t) with 1 <= t < k and [n,k]_q <= max_vertices."""
+def buildable_instances(qs=(2, 3), max_vertices: int = 3000) -> list[tuple[int, int, int]]:
+    """All (q, n, k) with k >= 2 and [n,k]_q <= max_vertices; each stands
+    for the graphs K_q(n,k,t), 1 <= t < k."""
     out = []
     for q in qs:
         k = 2
         while gauss(k + 1, k, q) <= max_vertices:
             n = k
             while gauss(n, k, q) <= max_vertices:
-                for t in range(1, k):
-                    out.append(Params(n, k, t, q))
+                out.append((q, n, k))
                 n += 1
             k += 1
     return out
@@ -180,22 +180,18 @@ def suite_degrees(qs=(2, 3), max_vertices: int = 3000) -> SuiteReport:
     """Build every instance and compare each vertex's degree and full
     intersection-dimension histogram with the closed-form counts."""
     rep = SuiteReport("degrees")
-    seen = set()
-    for p in buildable_instances(qs, max_vertices):
-        if (p.q, p.n, p.k) in seen:
-            continue
-        seen.add((p.q, p.n, p.k))
-        graphs, hists = build_qkneser_all_t(p.n, p.k, p.q, limit=max_vertices)
-        expected_hist = [intersect_count(p.n, p.k, p.k, m, p.q) for m in range(p.k + 1)]
+    for q, n, k in buildable_instances(qs, max_vertices):
+        graphs, hists = build_qkneser_all_t(n, k, q, limit=max_vertices)
+        expected_hist = [intersect_count(n, k, k, m, q) for m in range(k + 1)]
         bad = next((u for u, h in enumerate(hists) if h != expected_hist), None)
         rep.check(bad is None,
-                  f"histogram mismatch at vertex {bad} of q={p.q} n={p.n} k={p.k}")
+                  f"histogram mismatch at vertex {bad} of q={q} n={n} k={k}")
         for t, g in graphs.items():
-            delta = degree_formula(Params(p.n, p.k, t, p.q))
+            delta = degree_formula(Params(n, k, t, q))
             bad = next((u for u in range(g.n_vertices) if g.degree(u) != delta), None)
             rep.check(bad is None,
-                      f"degree mismatch at vertex {bad} of q={p.q} n={p.n} k={p.k} t={t}")
-        rep.info(f"q={p.q} n={p.n} k={p.k}: {graphs[1].n_vertices} vertices, "
+                      f"degree mismatch at vertex {bad} of q={q} n={n} k={k} t={t}")
+        rep.info(f"q={q} n={n} k={k}: {graphs[1].n_vertices} vertices, "
                  f"degrees+histograms match for all t")
     return rep
 
@@ -207,12 +203,9 @@ def suite_ekr(qs=(2, 3), max_vertices: int = 3000,
     pinned desk-scale q-Kneser graphs."""
     rep = SuiteReport("ekr")
     instances = buildable_instances(qs, max_vertices)
-    by_nk: dict[tuple[int, int, int], list[int]] = {}
-    for p in instances:
-        by_nk.setdefault((p.q, p.n, p.k), []).append(p.t)
-    for (q, n, k), ts in by_nk.items():
+    for q, n, k in instances:
         graphs, _ = build_qkneser_all_t(n, k, q, limit=max_vertices)
-        for t in ts:
+        for t in range(1, k):
             g = graphs[t]
             pencil = ekr.point_pencil(g, unit_subspace(q, n, t))
             size = gauss(n - t, k - t, q)
@@ -225,7 +218,7 @@ def suite_ekr(qs=(2, 3), max_vertices: int = 3000,
                 rep.check(nest.bit_count() == size,
                           f"nest size {nest.bit_count()} != {size} at {where}")
                 rep.check(ekr.is_independent(g, nest), f"nest not independent at {where}")
-    rep.info(f"extremal families validated on {len(instances)} instances")
+    rep.info(f"extremal families validated on {sum(k - 1 for _, _, k in instances)} instances")
 
     for n, expected in ((4, 7), (5, 15)):
         p = Params(n, 2, 1, 2)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately naive implementations (literal ordering enumeration, exhaustive
-dynamic programming, unpruned clique extension, span deduplication, pairwise
-intersection counting, a one-line-at-a-time .gr reader) that share no code
-with the solvers and bulk routes they check.
+dynamic programming, unpruned clique and independent-set extension, span
+deduplication, pairwise intersection counting, every grouping of separator
+components, a one-line-at-a-time .gr reader) that share no code with the
+solvers and bulk routes they check.
 """
 
 from itertools import combinations, permutations
@@ -96,6 +97,63 @@ def max_clique_brute(g: Graph) -> int:
 
     extend(0, (1 << g.n_vertices) - 1)
     return best
+
+
+def maximum_independent_sets_brute(g: Graph) -> list[int]:
+    """Every maximum independent set, as sorted bitmasks: all independent
+    sets are grown one vertex at a time in increasing vertex order, with
+    no pruning."""
+    n = g.n_vertices
+    adjacent = [[(g.rows[u] >> v) & 1 for v in range(n)] for u in range(n)]
+    best_size, best = 0, [0]
+
+    def extend(members: list[int]) -> None:
+        nonlocal best_size, best
+        mask = sum(1 << v for v in members)
+        if len(members) > best_size:
+            best_size, best = len(members), [mask]
+        elif members and len(members) == best_size:
+            best.append(mask)
+        for v in range(members[-1] + 1 if members else 0, n):
+            if not any(adjacent[u][v] for u in members):
+                extend(members + [v])
+
+    extend([])
+    return sorted(best)
+
+
+def balanced_separator_brute(g: Graph, size_cap: int):
+    """(X, A, B) for the first X in combinations order, |X| <= size_cap,
+    whose remaining components can be grouped into parts A and B with
+    3|A|, 3|B| >= |V - X| and 3|A|, 3|B| <= 2|V - X|, trying every subset
+    of the components; None when no X within the cap has one."""
+    n = g.n_vertices
+    for size in range(min(size_cap, n) + 1):
+        for combo in combinations(range(n), size):
+            rest = [v for v in range(n) if v not in combo]
+            seen: set[int] = set()
+            comps = []
+            for s in rest:
+                if s in seen:
+                    continue
+                comp, queue = [s], [s]
+                seen.add(s)
+                while queue:
+                    u = queue.pop(0)
+                    for v in rest:
+                        if v not in seen and (g.rows[u] >> v) & 1:
+                            seen.add(v)
+                            comp.append(v)
+                            queue.append(v)
+                comps.append(comp)
+            r = len(rest)
+            for pick in range(1 << len(comps)):
+                a = [v for i, c in enumerate(comps) if (pick >> i) & 1 for v in c]
+                b = [v for i, c in enumerate(comps) if not (pick >> i) & 1 for v in c]
+                if all(r <= 3 * len(part) <= 2 * r for part in (a, b)):
+                    return (sum(1 << v for v in combo), sum(1 << v for v in a),
+                            sum(1 << v for v in b))
+    return None
 
 
 def subspaces_by_span_dedup(field: GF, n: int, k: int) -> set:

@@ -1,10 +1,9 @@
 import pytest
 
-from bruteforce import max_clique_brute
+from bruteforce import max_clique_brute, maximum_independent_sets_brute
 from qkneser.ekr import (
     is_independent,
     max_independent_set_exact,
-    maximum_independent_sets,
     nest_family,
     point_pencil,
     write_vertex_set,
@@ -121,7 +120,7 @@ def test_mis_agrees_with_brute_force_clique_of_complement():
 
 def test_k2421_maximum_independent_sets_are_pencils_or_nests(k2421):
     f2 = make_field(2)
-    maxima = maximum_independent_sets(k2421)
+    maxima = maximum_independent_sets_brute(k2421)
     assert all(s.bit_count() == 7 for s in maxima)
     pencils = {point_pencil(k2421, t) for t in enumerate_subspaces(f2, 4, 1)}
     nests = {nest_family(k2421, w) for w in enumerate_subspaces(f2, 4, 3)}

@@ -36,3 +36,19 @@ def test_cli_imports_only_the_standard_library():
     assert "qkneser.cli" in out
     outside = [m for m in out if m.split(".")[0] not in sys.stdlib_module_names | {"qkneser"}]
     assert outside == []
+
+
+# the modules behind the counting formulas, the graphs, the decompositions
+# and the independent-set certificates work in exact integers
+FORMULA_MODULES = ("qcount.py", "gf.py", "subspace.py", "graph.py", "td.py", "ekr.py", "cliques.py")
+
+
+def test_no_float_arithmetic_in_formula_paths():
+    found = [
+        f"{name}:{node.lineno}"
+        for name in FORMULA_MODULES
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+        if isinstance(node, ast.Div)
+        or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+    ]
+    assert found == []

@@ -1,12 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
 from bruteforce import uncovered_edges
 from qkneser.ekr import point_pencil
-from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError
+from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError, TooLargeError
 from qkneser.families import cycle_graph, path_graph, random_graph
-from qkneser.graph import Graph, build_qkneser
+from qkneser.graph import VERTEX_LIMIT, Graph, build_qkneser
 from qkneser.qcount import Params, tw_value
 from qkneser.td import (
     TreeDecomposition,
@@ -259,6 +260,35 @@ def test_td_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "latin1.td"
     path.write_bytes(b"c caf\xe9\ns td 1 1 1\nb 1 1\n")
     with pytest.raises(MalformedFileError, match="latin1.td: not UTF-8 text"):
+        read_td(path)
+
+
+def test_td_declaring_many_bags_is_rejected_without_allocating_them(tmp_path):
+    path = tmp_path / "many.td"
+    path.write_text("s td 1000000 1 1")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedFileError, match=r"expected bag ids 1\.\.1000000"):
+            read_td(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_td_declaring_too_many_vertices_is_too_large(tmp_path):
+    path = tmp_path / "wide.td"
+    path.write_text("s td 1 1 8000000\nb 1 8000000\n")
+    with pytest.raises(TooLargeError, match=f"wide.td:1: 8000000 vertices exceed vertex limit {VERTEX_LIMIT}"):
+        read_td(path)
+    path.write_text(f"s td 1 1 {VERTEX_LIMIT}\nb 1 {VERTEX_LIMIT}\n")
+    assert read_td(path).bags == [1 << (VERTEX_LIMIT - 1)]
+
+
+def test_td_negative_counts_are_malformed(tmp_path):
+    path = tmp_path / "neg.td"
+    path.write_text("s td -1 0 -1\n")
+    with pytest.raises(MalformedFileError, match="neg.td:1: negative count"):
         read_td(path)
 
 

@@ -1,6 +1,12 @@
 import pytest
 
-from bruteforce import elimination_width, max_clique_brute, tw_by_orderings, tw_by_subset_dp
+from bruteforce import (
+    balanced_separator_brute,
+    elimination_width,
+    max_clique_brute,
+    tw_by_orderings,
+    tw_by_subset_dp,
+)
 from qkneser.errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
 from qkneser.families import (
     complete_graph,
@@ -26,6 +32,7 @@ from qkneser.twsolve import (
     minor_min_width,
     treewidth_exact,
 )
+from qkneser.verify import _separator_ok
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +271,6 @@ def test_separator_guards():
         balanced_separator_search(path_graph(41), 1)
     with pytest.raises(SearchSpaceTooLargeError):
         balanced_separator_search(path_graph(10), 13)
-    with pytest.raises(ValueError):
-        balanced_separator_search(path_graph(5), 1, p=0.5)
 
 
 def test_separator_property_on_exact_instances():
@@ -275,3 +280,30 @@ def test_separator_property_on_exact_instances():
         w = balanced_separator_search(g, r.value + 1)
         assert w is not None
         _witness_is_valid(g, w, r.value + 1)
+
+
+def test_separator_search_matches_brute_force_on_seeded_random_graphs():
+    # 160 graphs, every cap from 0 to n: the same X as the oracle (or None
+    # with it), and a witness that satisfies the suite's own 1/3 - 2/3 check
+    for seed in range(160):
+        n = 1 + seed % 10
+        g = random_graph(n, (seed % 7 + 1) / 8, 5000 + seed)
+        for cap in range(n + 1):
+            w = balanced_separator_search(g, cap)
+            oracle = balanced_separator_brute(g, cap)
+            assert (w is None) == (oracle is None), (seed, cap)
+            if w is not None:
+                assert w.separator == oracle[0], (seed, cap)
+                assert _separator_ok(g, w), (seed, cap)
+
+
+def test_separator_groups_components_largest_first():
+    # a spider with legs of 3, 5 and 2 vertices: V is connected, so X = {0}
+    # comes first, leaving sizes 3, 5, 2 (r = 10, parts must be 4..6).  In
+    # vertex order the first two overshoot; largest first, A is the 5.
+    g = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7),
+                              (7, 8), (0, 9), (9, 10)])
+    w = balanced_separator_search(g, 1)
+    assert w is not None and _separator_ok(g, w)
+    assert w.separator == 1 and w.side_a == 0b111110000
+    assert balanced_separator_brute(g, 1)[0] == w.separator
