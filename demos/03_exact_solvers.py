@@ -49,7 +49,7 @@ cg = build_cograssmann(4, 2, 2)
 # from vertex 0
 r = treewidth_exact(cg, time_budget=240, vertex_transitive=True)
 print(f"  solver: bracket [{r.lower}, {r.upper}], status {r.status}, "
-      f"{r.nodes} nodes")
+      f"{r.nodes} nodes, {r.memo_hits} memo hits, {r.forced} forced")
 for level, verdict, nodes in r.levels:
     print(f"    width {level}: {verdict} in {nodes} nodes")
 if r.status == "exact":

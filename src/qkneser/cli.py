@@ -5,8 +5,10 @@ prints them as stable key=value lines from `command=<name>` to
 `elapsed_ms=`.  Only the `*_ms` timings vary by run: `build` ends with
 `write_ms=` (the .gr export) and `solve --gr` with `read_ms=` (the .gr
 parse), each just ahead of `elapsed_ms=`.  Exit codes: 0 success or
-all checks verified, 1 verification failure, 2 usage or input error (a file
-the OS cannot open included), 3 resource limit.  An input error prints one
+all checks verified, 1 verification failure (a `solve --task tw` tree
+decomposition that fails validation or does not have the reported width
+included), 2 usage or input error (a file the OS cannot open included),
+3 resource limit.  An input error prints one
 `qkneser: error: <message>` line on stderr.
 """
 
@@ -18,10 +20,10 @@ import sys
 import time
 
 from . import ekr, twsolve
-from .errors import QKneserError, ResourceLimitError, UsageError
+from .errors import MalformedTreeError, QKneserError, ResourceLimitError, UsageError
 from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
 from .qcount import Params, Window, alpha_formula, degree_formula, tw_formula_applies, tw_value
-from .td import write_td
+from .td import validate, width, write_td
 from .verify import SUITES, run_suite, star_certificate
 
 EXIT_OK = 0
@@ -102,8 +104,18 @@ def cmd_verify(args):
             ("failures", len(report.failures)), ("ok", report.ok)], report.ok
 
 
+def _certifies(g, d, value: int) -> bool:
+    """Is d a valid tree decomposition of g of width value?  A decomposition
+    whose bags do not form a tree certifies nothing."""
+    try:
+        return validate(g, d).valid and width(d) == value
+    except MalformedTreeError:
+        return False
+
+
 def cmd_solve(args):
     io_ms = []
+    ok = True
     if args.gr:
         start = time.monotonic()
         g = read_gr(args.gr, limit=args.limit)
@@ -121,9 +133,11 @@ def cmd_solve(args):
         # GL(n,q) acts transitively on the vertices of K_q(n,k,t); a .gr
         # file makes no such promise
         r = twsolve.treewidth_exact(g, time_budget=budget_s, vertex_transitive=not args.gr)
+        ok = _certifies(g, r.decomposition, r.value)
         report += [("value", r.value), ("status", r.status),
-                   ("lower", r.lower), ("upper", r.upper), ("nodes", r.nodes)]
-        if args.out and r.decomposition is not None:
+                   ("lower", r.lower), ("upper", r.upper), ("nodes", r.nodes),
+                   ("memo_hits", r.memo_hits), ("forced", r.forced)]
+        if args.out:
             write_td(r.decomposition, args.out)
             report.append(("out", args.out))
         report.append(("levels", ",".join(f"{w}:{verdict}:{nodes}"
@@ -136,7 +150,7 @@ def cmd_solve(args):
         if args.out:
             ekr.write_vertex_set(r.members, args.out)
             report.append(("out", args.out))
-    return report + io_ms, True
+    return report + io_ms, ok
 
 
 def _add_param_flags(sub, required: bool) -> None:

@@ -8,9 +8,13 @@ depth-first search whether some ordering stays within upper-1: a success
 lowers the upper bound to the width of the ordering found, and the first
 refutation proves the upper bound exact.  All levels share one memo of
 refuted eliminated-vertex sets, which is sound because a set refuted at
-width L is refuted at every width below L.  For graphs known to be
-vertex-transitive the root eliminates vertex 0 only.  An interrupted run
-keeps its best ordering, but its lower bound is only the static one.
+width L is refuted at every width below L; a child found in the memo is
+skipped before its rows are copied.  A simplicial or almost-simplicial
+vertex of small enough degree is eliminated without branching (the safe
+reduction of Bodlaender & Koster, "Safe separators for treewidth", 2006;
+see _decide_width), which keeps every refutation exact.  For graphs known
+to be vertex-transitive the root eliminates vertex 0 only.  An interrupted
+run keeps its best ordering, but its lower bound is only the static one.
 
 balanced_separator_search exhaustively looks for a vertex set X of bounded
 size whose removal splits the graph into parts A and B with no A-B edge and
@@ -51,6 +55,8 @@ class SolveResult:
     order: list[int] | None
     decomposition: TreeDecomposition | None
     nodes: int
+    memo_hits: int  # children skipped because their alive-set was refuted
+    forced: int     # nodes cut to one child by the (almost-)simplicial rule
     elapsed: float
     # one (width, FOUND or REFUTED, nodes) per decided level, in order
     levels: list[tuple[int, str, int]] = field(default_factory=list)
@@ -157,69 +163,113 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     return TreeDecomposition(n, bags, edges)
 
 
+def _clique_but_one(rows: list[int], nb: int) -> bool:
+    """Is nb a clique in rows once at most one of its vertices is left out?
+
+    Let u be the first vertex of nb that misses another vertex of nb.  The
+    vertex w left out must be u or, when u misses exactly one, that one:
+    any other w leaves u and a vertex it misses in the set.  Vertices of nb
+    before u miss nothing, so only those after u are checked against nb - w.
+    """
+    # the search's hot path walks sparse masks inline: O(popcount) per
+    # walk, where bits() costs O(bit_length) (2.2x slower on G(28,0.3))
+    mm = nb
+    while mm:
+        low = mm & -mm
+        mm ^= low
+        miss = nb & ~rows[low.bit_length() - 1] & ~low
+        if miss:
+            break
+    else:
+        return True
+    for w in (low, miss) if miss & (miss - 1) == 0 else (low,):
+        clique = nb & ~w
+        rest = mm & ~w
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if clique & ~rows[low.bit_length() - 1] & ~low:
+                break
+        else:
+            return True
+    return False
+
+
 def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
-                  failed: set[int], roots: int, state: dict,
+                  failed: set[int], roots: list[int], state: dict,
                   node_budget: int | None, deadline: float | None) -> bool:
     """Does some elimination ordering keep every elimination degree <= target?
 
     Fills order_out on success.  `failed` holds the alive-sets refuted so
     far and gains every one refuted here; a set refuted at some width is
     refuted at every smaller one, so callers that decide widths in
-    descending order may share it.  The root branches only on the vertices
-    in `roots`."""
+    descending order may share it.  A child whose alive-set is in `failed`
+    is skipped before its rows are copied.  The root branches only on the
+    vertices in `roots`.  Adds this call's nodes, memo hits and forced
+    nodes to `state`, also when the budget cuts it short.
 
-    def dfs(rows: list[int], alive: int, m: int) -> bool:
-        count = alive.bit_count()
-        if count <= target + 1:
-            order_out.extend(bits(alive))
+    A candidate v (deg(v) <= target) whose neighbourhood N(v) is a clique
+    (simplicial), or is a clique once one vertex w is left out (almost
+    simplicial; Bodlaender & Koster, "Safe separators for treewidth", 2006),
+    is eliminated without branching; _clique_but_one finds w.  Eliminating
+    v adds only the edges from w to N(v) - w, so the graph left is the one
+    that contracting vw gives: a minor of the current graph, whose
+    treewidth is no larger.  Hence the current graph has width <= target
+    iff the graph left does, since v costs deg(v) <= target; every
+    refutation stays exact, as the shared memo needs.
+
+    The live vertices travel down twice: as an ascending list, which the
+    scan walks, and as the mask `alive`, which cuts neighbourhoods and keys
+    the memo.
+    """
+    nodes = memo_hits = forced = 0
+    limit = None if node_budget is None else node_budget - state["nodes"]
+
+    def dfs(rows: list[int], alive: int, live: list[int], scan: list[int]) -> bool:
+        nonlocal nodes, memo_hits, forced
+        if len(live) <= target + 1:
+            order_out.extend(live)
             return True
-        if alive in failed:
-            return False
-        state["nodes"] += 1
-        if node_budget is not None and state["nodes"] > node_budget:
+        nodes += 1
+        if limit is not None and nodes > limit:
             raise _Budget
-        if deadline is not None and state["nodes"] % 128 == 0 and time.monotonic() > deadline:
+        if deadline is not None and nodes % 128 == 0 and time.monotonic() > deadline:
             raise _Budget
         cands = []
-        # the search's hot path walks sparse masks inline: O(popcount) per
-        # walk, where bits() costs O(bit_length) (2.2x slower on G(28,0.3))
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
+        for v in scan:
             nb = rows[v] & alive
             if nb.bit_count() <= target:
-                # simplicial vertices are always safe to eliminate first
-                simplicial = True
-                mm = nb
-                while mm:
-                    lo2 = mm & -mm
-                    u = lo2.bit_length() - 1
-                    mm ^= lo2
-                    if nb & ~rows[u] & ~lo2:
-                        simplicial = False
-                        break
-                if simplicial:
+                if _clique_but_one(rows, nb):
+                    forced += 1
                     cands = [(v, nb)]
                     break
                 cands.append((v, nb))
         for v, nb in cands:
+            rest = alive & ~(1 << v)
+            if rest in failed:
+                memo_hits += 1
+                continue
             new_rows = list(rows)
             mm = nb
             while mm:
                 lo2 = mm & -mm
-                u = lo2.bit_length() - 1
                 mm ^= lo2
-                new_rows[u] |= nb & ~lo2
+                new_rows[lo2.bit_length() - 1] |= nb & ~lo2
+            child = live.copy()
+            child.remove(v)
             order_out.append(v)
-            rest = alive & ~(1 << v)
-            if dfs(new_rows, rest, rest):
+            if dfs(new_rows, rest, child, child):
                 return True
             order_out.pop()
         failed.add(alive)
         return False
 
-    return dfs(rows0, (1 << n) - 1, roots)
+    try:
+        return dfs(rows0, (1 << n) - 1, list(range(n)), roots)
+    finally:
+        state["nodes"] += nodes
+        state["memo_hits"] += memo_hits
+        state["forced"] += forced
 
 
 def treewidth_exact(g: Graph, node_budget: int | None = None,
@@ -233,7 +283,9 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     of the ordering found and asks again, and the first refutation proves
     lower = upper.  One refutation memo serves every level, since a set
     refuted at width L is refuted below L too.  `levels` records each
-    decision as (width, "found" or "refuted", nodes).
+    decision as (width, "found" or "refuted", nodes); `memo_hits` counts
+    children skipped as already refuted and `forced` the nodes that the
+    (almost-)simplicial rule cut to one child.
 
     vertex_transitive=True lets the root eliminate only vertex 0: some
     automorphism maps the first vertex of an optimal ordering to 0.  Pass it
@@ -250,11 +302,11 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
         raise TooLargeError(f"{n} vertices exceeds solver cap {VERTEX_CAP}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
-    state = {"nodes": 0}
+    state = {"nodes": 0, "memo_hits": 0, "forced": 0}
 
     if n == 0:
         return SolveResult(-1, EXACT, -1, -1, [], TreeDecomposition(0, [0], []),
-                           0, time.monotonic() - start)
+                           0, 0, 0, time.monotonic() - start)
 
     upper, best_order = min_fill_order(g)
     omega = clique_lower_bound(
@@ -264,7 +316,7 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     lower = max(minor_min_width(g), omega - 1, 0)
 
     failed: set[int] = set()
-    roots = 1 if vertex_transitive else (1 << n) - 1
+    roots = [0] if vertex_transitive else list(range(n))
     levels: list[tuple[int, str, int]] = []
     interrupted = False
     while lower < upper:
@@ -288,7 +340,7 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     decomposition = decomposition_from_order(g, best_order)
     status = UPPER_BOUND_ONLY if interrupted else EXACT
     return SolveResult(upper, status, lower, upper, best_order, decomposition,
-                       state["nodes"], elapsed, levels)
+                       state["nodes"], state["memo_hits"], state["forced"], elapsed, levels)
 
 
 # -- balanced separators ------------------------------------------------------

@@ -209,6 +209,64 @@ def test_solve_tw_from_params_refutes_one_level(capsys):
     assert out.splitlines()[-2].startswith("levels=")
 
 
+def test_solve_tw_reports_memo_hits_and_forced_after_nodes(capsys):
+    code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
+                    "--task", "tw")
+    keys = [line.partition("=")[0] for line in out.splitlines()]
+    assert code == 0
+    at = keys.index("nodes")
+    assert keys[at + 1:at + 3] == ["memo_hits", "forced"]
+    assert keys[-2:] == ["levels", "elapsed_ms"]
+    got = parse(out)
+    assert int(got["memo_hits"]) > 0 and int(got["forced"]) > 0
+
+
+def _empty_first_bag(d):
+    """The first bag loses its vertices: the first eliminated vertex is in
+    no bag."""
+    d.bags[0] = 0
+    return d
+
+
+def _drop_first_bag(d):
+    """The first bag, a leaf of the tree, is dropped with its edge."""
+    d.bags.pop(0)
+    d.edges = [(i - 1, j - 1) for i, j in d.edges if 0 not in (i, j)]
+    return d
+
+
+def _drop_first_bag_keep_edges(d):
+    """The first bag is dropped but its edge is kept: not a tree."""
+    d.bags.pop(0)
+    return d
+
+
+@pytest.mark.parametrize("damage", [_empty_first_bag, _drop_first_bag,
+                                    _drop_first_bag_keep_edges])
+def test_solve_tw_fails_when_its_decomposition_does_not_certify(
+        tmp_path, capsys, monkeypatch, damage):
+    from qkneser import twsolve
+    from qkneser.families import petersen_graph
+    from qkneser.graph import write_gr
+
+    gr = tmp_path / "petersen.gr"
+    write_gr(petersen_graph(), gr)
+    _, good = run(capsys, "solve", "--gr", str(gr), "--task", "tw")
+    solve = twsolve.treewidth_exact
+
+    def damaged(g, **kwargs):
+        r = solve(g, **kwargs)
+        r.decomposition = damage(r.decomposition)
+        return r
+
+    monkeypatch.setattr(twsolve, "treewidth_exact", damaged)
+    code, bad = run(capsys, "solve", "--gr", str(gr), "--task", "tw")
+    assert code == 1
+    # the report is the same, elapsed_ms and read_ms aside
+    assert bad.splitlines()[:-2] == good.splitlines()[:-2]
+    assert parse(bad)["status"] == "exact"
+
+
 @pytest.mark.parametrize("source, promised", [
     (["--gr", "{tmp}/petersen.gr"], False),
     (["-q", "2", "-n", "4", "-k", "2", "-t", "1"], True),

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from bruteforce import (
@@ -7,6 +10,7 @@ from bruteforce import (
     tw_by_orderings,
     tw_by_subset_dp,
 )
+from qkneser import twsolve
 from qkneser.errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
 from qkneser.families import (
     complete_graph,
@@ -25,6 +29,7 @@ from qkneser.twsolve import (
     FOUND,
     REFUTED,
     UPPER_BOUND_ONLY,
+    _clique_but_one,
     balanced_separator_search,
     clique_lower_bound,
     decomposition_from_order,
@@ -145,6 +150,100 @@ def test_vertex_transitive_root_gives_the_same_value():
     # the last pair is K_2(4,2,1)
     assert pruned.value == 27 and pruned.levels == [(26, REFUTED, pruned.nodes)]
     assert pruned.nodes <= 3000 < plain.nodes
+
+
+# ---------------------------------------------------------------------------
+# the (almost-)simplicial rule and the refutation memo
+# ---------------------------------------------------------------------------
+
+def _is_clique(rows, mask):
+    return all(not (mask & ~rows[v] & ~(1 << v))
+               for v in range(len(rows)) if mask >> v & 1)
+
+
+def test_clique_but_one_matches_brute_force():
+    for seed in range(300):
+        n = 1 + seed % 9
+        g = random_graph(n, (seed % 9 + 1) / 10, 9000 + seed)
+        nb = random.Random(seed).getrandbits(n)
+        expect = _is_clique(g.rows, nb) or any(
+            _is_clique(g.rows, nb & ~(1 << w)) for w in range(n) if nb >> w & 1)
+        assert _clique_but_one(g.rows, nb) == expect, seed
+
+
+class _OnceOnlyMemo(set):
+    """A refutation memo that fails when a refuted set is searched again."""
+
+    def add(self, key):
+        assert key not in self, "a refuted alive-set was searched again"
+        super().add(key)
+
+
+def _chorded_cycle(m, chords, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u, v in combinations(range(m), 2) if 1 < v - u < m - 1]
+    edges = [(i, (i + 1) % m) for i in range(m)] + rng.sample(pairs, chords)
+    return Graph.from_edges(m, edges)
+
+
+def _sparse_corpus():
+    """Graphs where almost-simplicial vertices are common: sparse G(m, p),
+    trees and cycles with chords, each with whether it is vertex-transitive.
+    G(m, 0.4) branches more, so the memo gets hits."""
+    for m in range(6, 14):
+        for p in (0.1, 0.2, 0.4):
+            for seed in range(3):
+                yield random_graph(m, p, 100 * m + int(10 * p) + seed), False
+        yield random_tree(m, 40 + m), False
+        for chords in (1, 2, 3):
+            yield _chorded_cycle(m, chords, 10 * m + chords), False
+        yield cycle_graph(m), True
+
+
+def test_almost_simplicial_rule_and_memo_match_subset_dp():
+    # most of these graphs are settled by the static bounds, so each one is
+    # also decided directly at tw (found) and tw - 1 (refuted), sharing one
+    # memo as treewidth_exact does
+    stats = {"nodes": 0, "memo_hits": 0, "forced": 0}
+    for g, transitive in _sparse_corpus():
+        n = g.n_vertices
+        tw = tw_by_subset_dp(g)
+        for vt in {False, transitive}:
+            r = treewidth_exact(g, vertex_transitive=vt)
+            assert r.status == EXACT and r.value == tw, (g.rows, vt)
+            assert validate(g, r.decomposition).valid
+            _check_levels(g, r)
+            memo = _OnceOnlyMemo()
+            roots = [0] if vt else list(range(n))
+            for target in (tw, tw - 1):
+                order = []
+                found = twsolve._decide_width(list(g.rows), n, target, order, memo, roots,
+                                              stats, None, None)
+                assert found == (target == tw), (g.rows, vt, target)
+                if found:
+                    assert sorted(order) == list(range(n))
+                    assert elimination_width(g, order) <= target
+    # the corpus exercises both the rule and the memo
+    assert stats["forced"] > 0 and stats["memo_hits"] > 0
+
+
+def test_grids_are_refuted_within_a_small_node_budget():
+    # a grid has no simplicial vertex, but every vertex of degree <= 2, a
+    # corner among them, is almost simplicial; without the rule 5x6 took
+    # 9.2M nodes
+    for rows, cols in ((5, 5), (5, 6)):
+        r = treewidth_exact(grid_graph(rows, cols), node_budget=20_000)
+        assert r.status == EXACT and r.value == 5
+        assert r.levels == [(4, REFUTED, r.nodes)]
+
+
+def test_node_ceiling_on_the_sparse_exact_workload_graph():
+    # G(28, 0.3) of the benchmark's exact workload: 13,820 nodes with the
+    # rule (30,160 without)
+    r = treewidth_exact(random_graph(28, 0.3, 28300))
+    assert r.status == EXACT and r.value == 14
+    assert r.nodes <= 20_000
+    assert r.memo_hits > 0 and r.forced > 0
 
 
 # ---------------------------------------------------------------------------
