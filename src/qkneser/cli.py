@@ -21,6 +21,7 @@ import time
 
 from . import ekr, twsolve
 from .errors import MalformedTreeError, QKneserError, ResourceLimitError, UsageError
+from .gf import factor_prime_power
 from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
 from .qcount import Params, Window, alpha_formula, degree_formula, tw_formula_applies, tw_value
 from .td import validate, width, write_td
@@ -42,8 +43,10 @@ def _ms_since(start: float) -> int:
 
 
 def _params(args) -> tuple[Params, list]:
-    """The Params of -q -n -k -t and their report fields."""
+    """The Params of -q -n -k -t and their report fields; a q that is not
+    a prime power names no field and raises NotPrimePowerError."""
     p = Params(args.n, args.k, args.t, args.q)
+    factor_prime_power(p.q)
     return p, [("q", p.q), ("n", p.n), ("k", p.k), ("t", p.t)]
 
 
@@ -153,6 +156,13 @@ def cmd_solve(args):
     return report + io_ms, ok
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_param_flags(sub, required: bool) -> None:
     sub.add_argument("-q", type=int, required=required, help="field order (prime power)")
     sub.add_argument("-n", type=int, required=required, help="ambient dimension")
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     limit = argparse.ArgumentParser(add_help=False)
-    limit.add_argument("--limit", type=int, default=VERTEX_LIMIT, help="vertex limit")
+    limit.add_argument("--limit", type=_non_negative_int, default=VERTEX_LIMIT, help="vertex limit")
 
     p_params = subs.add_parser("params", help="print formula values for (q,n,k,t)")
     p_params.set_defaults(run=cmd_params)
@@ -199,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_solve, required=False)
     p_solve.add_argument("--gr", help="solve a graph loaded from a .gr file")
     p_solve.add_argument("--task", choices=["tw", "mis"], default="tw")
-    p_solve.add_argument("--budget-ms", type=int, dest="budget_ms",
+    p_solve.add_argument("--budget-ms", type=_non_negative_int, dest="budget_ms",
                          help="wall-clock budget; 0 gives bounds only")
     p_solve.add_argument("--out", help="certificate path (.td or vertex list)")
     return parser

@@ -40,7 +40,7 @@ _MODULI = {
 }
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
+def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, or raise NotPrimePowerError."""
     if q < 2:
         raise NotPrimePowerError(f"q must be >= 2, got {q}")
@@ -68,7 +68,7 @@ class GF:
     """
 
     def __init__(self, q: int):
-        p, e = _factor_prime_power(q)
+        p, e = factor_prime_power(q)
         if e == 1:
             if p > 128:
                 raise UnsupportedFieldError(f"prime field GF({q}) beyond built-in range (p <= 128)")

@@ -3,7 +3,12 @@
 A decomposition is valid when (i) the bags cover every vertex, (ii) every
 edge lies inside some bag, and (iii) for each vertex the set of bags
 containing it induces a connected subtree.  The validator reports a concrete
-witness for each violated condition.
+witness for each violated condition.  It walks the bag tree once, from bag
+0, and decides (iii) by the one-top lemma: call a bag a top for v when it
+holds v and its parent does not (the root is a top for each of its
+vertices).  Each connected piece of the bags holding v has exactly one
+top, its bag nearest the root, so those bags form a subtree iff v has
+exactly one top.
 
 star_decomposition realizes the upper bound max(Delta, |V|-alpha-1): one
 center bag holding everything outside an independent set I, plus one leaf
@@ -15,7 +20,6 @@ Includes a reader/writer for the PACE 2017 .td format.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .ekr import is_independent
@@ -54,8 +58,9 @@ def width(d: TreeDecomposition) -> int:
     return max(b.bit_count() for b in d.bags) - 1
 
 
-def _check_tree(d: TreeDecomposition) -> list[list[int]]:
-    """Verify the bag graph is a tree; return its adjacency lists."""
+def _tree_parents(d: TreeDecomposition) -> list[int | None]:
+    """Walk the bag graph from bag 0 and return each bag's parent in that
+    walk (None for bag 0); raise MalformedTreeError unless it is a tree."""
     b = len(d.bags)
     if b == 0:
         raise MalformedTreeError("decomposition has no bags")
@@ -67,20 +72,17 @@ def _check_tree(d: TreeDecomposition) -> list[list[int]]:
             raise MalformedTreeError(f"bad tree edge ({x}, {y})")
         adj[x].append(y)
         adj[y].append(x)
-    seen = [False] * b
-    queue = deque([0])
-    seen[0] = True
-    count = 1
-    while queue:
-        x = queue.popleft()
+    parent: list[int | None] = [None] * b
+    stack = [0]
+    while stack:
+        x = stack.pop()
         for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                queue.append(y)
-    if count != b:
+            if y and parent[y] is None:
+                parent[y] = x
+                stack.append(y)
+    if None in parent[1:]:
         raise MalformedTreeError("tree edges do not connect all bags")
-    return adj
+    return parent
 
 
 def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
@@ -88,63 +90,43 @@ def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
 
     Raises MalformedTreeError when the bag edges do not form a tree or a
     bag holds a vertex outside the graph; all other defects are reported,
-    first witness in deterministic order.
+    first witness in deterministic order: the lowest uncovered vertex, the
+    first uncovered edge in (u, v) order, the lowest vertex with two or
+    more tops (see the module docstring).
     """
-    adj = _check_tree(d)
+    parent = _tree_parents(d)
     if d.n_vertices != g.n_vertices:
         raise MalformedTreeError(
             f"decomposition is over {d.n_vertices} vertices, graph has {g.n_vertices}"
         )
 
-    union = 0
-    for b in d.bags:
-        union |= b
-    if union.bit_length() > g.n_vertices:
+    # once: the vertices with a top, which is the union of the bags;
+    # twice: those with a second top
+    once = twice = 0
+    for bag, up in zip(d.bags, parent):
+        top = bag if up is None else bag & ~d.bags[up]
+        twice |= once & top
+        once |= top
+    if once.bit_length() > g.n_vertices:
         raise MalformedTreeError(
-            f"a bag holds vertex {union.bit_length() - 1}, graph has {g.n_vertices} vertices"
+            f"a bag holds vertex {once.bit_length() - 1}, graph has {g.n_vertices} vertices"
         )
-    full = (1 << g.n_vertices) - 1
-    uncovered_vertex = None
-    missing = full & ~union
-    if missing:
-        uncovered_vertex = (missing & -missing).bit_length() - 1
+    missing = ((1 << g.n_vertices) - 1) & ~once
+    uncovered_vertex = (missing & -missing).bit_length() - 1 if missing else None
+    incoherent_vertex = (twice & -twice).bit_length() - 1 if twice else None
 
-    # bags containing each vertex, as bag-id bitmasks
-    bags_of = [0] * g.n_vertices
-    for bid, b in enumerate(d.bags):
-        for v in bits(b):
-            bags_of[v] |= 1 << bid
-
-    # the edges uv, v > u, not inside a bag with u are u's row above u minus
-    # the union of u's bags; the first u with any, and its lowest v, give
-    # the first uncovered edge in (u, v) order
+    # reach[u] is the union of the bags holding u; the edges uv, v > u, not
+    # inside a bag with u are u's row above u minus reach[u], so the first u
+    # with any, and its lowest v, give the first uncovered edge
+    reach = [0] * g.n_vertices
+    for bag in d.bags:
+        for v in bits(bag):
+            reach[v] |= bag
     uncovered_edge = None
-    for u, row in enumerate(g.rows):
-        reach = 0
-        for bid in bits(bags_of[u]):
-            reach |= d.bags[bid]
-        miss = (row & ~reach) >> (u + 1)
+    for u, (row, r) in enumerate(zip(g.rows, reach)):
+        miss = (row & ~r) >> (u + 1)
         if miss:
             uncovered_edge = (u, u + (miss & -miss).bit_length())
-            break
-
-    incoherent_vertex = None
-    for v in range(g.n_vertices):
-        mask = bags_of[v]
-        if not mask:
-            continue  # reported as uncovered above
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                ybit = 1 << y
-                if mask & ybit and not seen & ybit:
-                    seen |= ybit
-                    queue.append(y)
-        if seen != mask:
-            incoherent_vertex = v
             break
 
     return ValidationReport(

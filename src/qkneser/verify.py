@@ -133,7 +133,10 @@ def claims_params(qmax: int = 9, nmax: int = 40, kmax: int = 8):
 
 def suite_identities(qmax: int = 9, mmax: int = 12) -> SuiteReport:
     """Gaussian-binomial recurrences and power bounds, exactly, for every
-    integer 2 <= q <= qmax and 1 <= i <= m <= mmax."""
+    integer 2 <= q <= qmax and 1 <= i <= m <= mmax.  An empty grid is a
+    UsageError."""
+    if qmax < 2 or mmax < 1:
+        raise UsageError(f"verify identities: the grid q = 2..{qmax}, m = 1..{mmax} is empty")
     rep = SuiteReport("identities")
     for q in range(2, qmax + 1):
         for m in range(1, mmax + 1):
@@ -151,10 +154,14 @@ def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8,
     """Inequality sweep: the t-layer count exceeds alpha for n >= 2k; the
     pigeonhole bound holds in the treewidth-formula range; and
     Delta + alpha < |V| wherever alpha is defined.  With `out`, writes
-    one qcount.sweep_records line per grid point to that path."""
+    one qcount.sweep_records line per grid point to that path.  An empty
+    grid is a UsageError, raised before `out` is written."""
+    grid = claims_params(qmax, nmax, kmax)
+    if not grid:
+        raise UsageError(f"verify claims: the grid q <= {qmax}, k <= {kmax}, "
+                         f"2k <= n <= {nmax} is empty")
     rep = SuiteReport("claims")
     in_range = 0
-    grid = claims_params(qmax, nmax, kmax)
     for p in grid:
         rep.check(layer_exceeds_alpha(p),
                   f"layer count fails to exceed alpha at {p}")

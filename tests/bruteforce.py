@@ -3,10 +3,12 @@
 Deliberately naive implementations (literal ordering enumeration, exhaustive
 dynamic programming, unpruned clique and independent-set extension, span
 deduplication, pairwise intersection counting, every grouping of separator
-components, a one-line-at-a-time .gr reader) that share no code with the
+components, per-vertex breadth-first search of a bag tree, a
+one-line-at-a-time .gr reader) that share no code with the
 solvers and bulk routes they check.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 
 from qkneser.errors import MalformedFileError, TooLargeError
@@ -244,6 +246,34 @@ def uncovered_edges(g: Graph, bags: list[int]) -> list[tuple[int, int]]:
         if (g.rows[u] >> v) & 1
         and not any((b >> u) & 1 and (b >> v) & 1 for b in bags)
     ]
+
+
+def decomposition_witnesses(g: Graph, bags: list[int], edges) -> tuple:
+    """The lowest uncovered vertex, the first uncovered edge and the lowest
+    incoherent vertex of a bag tree, each None when there is none: a plain
+    coverage check, and per vertex a breadth-first search over the tree
+    edges among the bags that hold it."""
+    holding = [[i for i, b in enumerate(bags) if (b >> v) & 1] for v in range(g.n_vertices)]
+    uncovered = next((v for v, ids in enumerate(holding) if not ids), None)
+    missed = uncovered_edges(g, bags)
+    incoherent = None
+    for v, ids in enumerate(holding):
+        if not ids:
+            continue
+        seen = {ids[0]}
+        queue = deque([ids[0]])
+        while queue:
+            x = queue.popleft()
+            for a, b in edges:
+                if x in (a, b):
+                    y = b if a == x else a
+                    if y in ids and y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+        if len(seen) != len(ids):
+            incoherent = v
+            break
+    return uncovered, (missed[0] if missed else None), incoherent
 
 
 def read_gr_lines(path, limit: int = VERTEX_LIMIT) -> Graph:

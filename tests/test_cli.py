@@ -322,6 +322,8 @@ def test_file_the_os_cannot_open_is_usage_error(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["verify", "degrees", "--qmax", "3"],
     ["solve", "--gr", "{tmp}/bad.gr"],
+    ["verify", "claims", "--nmax", "3"],
+    ["params", "-q", "6", "-n", "7", "-k", "2", "-t", "1"],
 ])
 def test_input_error_prints_one_line_without_usage(tmp_path, argv):
     (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")
@@ -388,6 +390,14 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["solve", "--gr", "{tmp}/bad.gr", "--limit", "2"], 3),        # header checked first
     (["solve", "--gr", "{tmp}/latin1.gr"], 2),                     # not UTF-8
     (["solve", "--gr", "{tmp}/latin1_late.gr", "--task", "mis"], 2),  # in a later batch
+    (["verify", "identities", "--qmax", "1"], 2),                  # empty grid
+    (["verify", "claims", "--qmax", "1", "--out", "{tmp}/records.csv"], 2),  # writes nothing
+    (["verify", "claims", "--nmax", "3"], 2),
+    (["solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--budget-ms", "-1"], 2),
+    (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "-1",
+      "--out", "{tmp}/g.gr"], 2),                                  # not a resource limit
+    (["params", "-q", "6", "-n", "7", "-k", "2", "-t", "1"], 2),   # no field of order 6
+    (["params", "-q", "131", "-n", "7", "-k", "2", "-t", "1"], 0),  # prime; params builds no field
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
     (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")

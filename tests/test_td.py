@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from bruteforce import uncovered_edges
+from bruteforce import decomposition_witnesses, uncovered_edges
 from qkneser.ekr import point_pencil
 from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError, TooLargeError
 from qkneser.families import cycle_graph, path_graph, random_graph
@@ -60,7 +60,7 @@ def test_uncovered_edge_is_first_of_several():
 def _random_decomposition(rng, g):
     """A random bag tree: either the valid decomposition of a random
     elimination order with random vertices dropped from its bags, or random
-    bags on a random tree."""
+    bags on a random tree with shuffled bag ids and edge directions."""
     n = g.n_vertices
     if rng.random() < 0.5:
         order = list(range(n))
@@ -73,21 +73,26 @@ def _random_decomposition(rng, g):
         return d
     b = rng.randint(1, 8)
     bags = [rng.getrandbits(n) for _ in range(b)]
-    edges = [(i, rng.randrange(i)) for i in range(1, b)]
+    ids = rng.sample(range(b), b)
+    edges = [(ids[i], ids[rng.randrange(i)])[::rng.choice([1, -1])] for i in range(1, b)]
     return TreeDecomposition(n, bags, edges)
 
 
 def test_uncovered_edge_matches_pairwise_oracle():
+    """All three witnesses of validate against the per-vertex BFS oracle."""
     rng = random.Random(20240801)
-    seen_valid = seen_several = 0
+    seen_valid = seen_several = seen_incoherent = 0
     for i in range(300):
         g = random_graph(rng.randint(2, 14), rng.choice([0.2, 0.5, 0.8]), i)
         d = _random_decomposition(rng, g)
-        missed = uncovered_edges(g, d.bags)
-        assert validate(g, d).uncovered_edge == (missed[0] if missed else None)
-        seen_valid += not missed
-        seen_several += len(missed) >= 2
-    assert seen_valid >= 30 and seen_several >= 30
+        report = validate(g, d)
+        expected = decomposition_witnesses(g, d.bags, d.edges)
+        assert (report.uncovered_vertex, report.uncovered_edge,
+                report.incoherent_vertex) == expected
+        seen_valid += report.valid
+        seen_several += len(uncovered_edges(g, d.bags)) >= 2
+        seen_incoherent += expected[2] is not None
+    assert seen_valid >= 30 and seen_several >= 30 and seen_incoherent >= 30
 
 
 def test_uncovered_vertex_witness():

@@ -295,6 +295,23 @@ def test_clique_lower_bound_examples():
     assert clique_lower_bound(build_qkneser(Params(4, 2, 1, 2))) == 5
 
 
+def test_clique_bound_never_exceeds_minor_min_width():
+    # minor_min_width contracts a minimum-degree vertex v into a neighbour;
+    # that never deletes an edge between two live vertices, so a maximum
+    # clique stays a clique until its first vertex leaves, and that vertex,
+    # the minimum-degree one at that step, has degree >= omega - 1.  So the
+    # omega - 1 of clique_lower_bound never raises treewidth_exact's static
+    # lower bound max(minor-min-width, omega - 1).
+    rng = random.Random(20240803)
+    graphs = [random_graph(rng.randint(1, 18), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), seed)
+              for seed in range(300)]
+    graphs += [complete_graph(m) for m in range(1, 9)] + [cycle_graph(m) for m in range(3, 9)]
+    graphs += [path_graph(6), grid_graph(4, 5), random_tree(15, 7), petersen_graph(),
+               build_qkneser(Params(4, 2, 1, 2))]
+    for g in graphs:
+        assert clique_lower_bound(g) - 1 <= minor_min_width(g)
+
+
 def test_budget_zero_reports_bracket_only():
     g = petersen_graph()
     r = treewidth_exact(g, time_budget=0)
