@@ -40,24 +40,61 @@ _MODULI = {
 }
 
 
+# every composite n < 3,317,044,064,679,887,385,961,981 fails the strong
+# probable-prime test to one of the prime bases up to 41 (Sorenson &
+# Webster, Math. Comp. 86, 2017)
+_MR_BASES = _PRIMES_TO_128[:13]
+_MR_PROVEN = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n >= 2.  Beyond _MR_PROVEN it tries
+    every base a < bit_length(n)^2, above 2 ln^2 n, which decides n if the
+    generalized Riemann hypothesis holds (Bach, Math. Comp. 55, 1990)."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    bases = _MR_BASES if n < _MR_PROVEN else range(2, n.bit_length() ** 2)
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise NotPrimePowerError."""
+    """Return (p, e) with q = p^e, or raise NotPrimePowerError.  Only the
+    e-th root of q for the right e is prime, so each e from 1 up is tried
+    once: an integer root, a power check and a primality test."""
     if q < 2:
         raise NotPrimePowerError(f"q must be >= 2, got {q}")
-    n, p = q, q
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            p = d
+    for e in range(1, q.bit_length() + 1):
+        p = _iroot(q, e)
+        if p < 2:
             break
-        d += 1
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
-    return p, e
+        if p ** e == q and _is_prime(p):
+            return p, e
+    raise NotPrimePowerError(f"{q} is not a prime power")
 
 
 class GF:
@@ -88,13 +125,14 @@ class GF:
         # the modulus x, whose products need no reduction
         p, q = self.p, self.q
         digits = [self.coeffs(a) for a in range(q)]
-        self._add = [
-            [self.element(tuple((x + y) % p for x, y in zip(digits[a], digits[b])))
-             for b in range(q)]
+        self._add = tuple(
+            tuple(self.element(tuple((x + y) % p for x, y in zip(digits[a], digits[b])))
+                  for b in range(q))
             for a in range(q)
-        ]
+        )
         self._neg = [self.element(tuple((-x) % p for x in digits[a])) for a in range(q)]
-        self._mul = [[self._poly_mul(digits[a], digits[b]) for b in range(q)] for a in range(q)]
+        self._mul = tuple(tuple(self._poly_mul(digits[a], digits[b]) for b in range(q))
+                          for a in range(q))
         self._inv = [0] * q
         for a in range(1, q):
             row = self._mul[a]
@@ -147,6 +185,18 @@ class GF:
         return range(self.q)
 
     # -- arithmetic --------------------------------------------------------
+
+    @property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        """add_table[a][b] = a + b, as read-only rows, so that
+        map(add_table[a].__getitem__, vec) adds a to each entry of vec
+        without a Python call per entry."""
+        return self._add
+
+    @property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        """mul_table[a][b] = a * b, as read-only rows."""
+        return self._mul
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]

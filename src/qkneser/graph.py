@@ -17,26 +17,32 @@ mask in ascending order.
 
 Includes a reader/writer for the PACE 2017 .gr format.  write_gr joins each
 row's precomputed "<v>\n" strings behind its "<u> " head, with no
-formatting per edge.  read_gr pulls UTF-8 text lines in batches of about
-_BATCH_HINT characters.  After the header, a batch that is nothing but
-"<u> <v>" lines of canonical in-range ids with no self-loop goes to the
-rows in bulk: one split, one dict lookup per id, one OR per edge end
-against a table of single-bit rows.  Every other batch (header, comments,
-blank lines, other spacing, any bad line) goes through the per-line loop,
-the one place that accepts or rejects a line and names it by path:lineno;
-tests/bruteforce.py keeps the per-line reader alone as the oracle.  Beyond
-the rows themselves (at most n^2/8 bytes), a read holds the bit table
-(about n^2/16 bytes, n within the vertex limit), the id dict and one
-batch.
+formatting per edge.  read_gr reads UTF-8 text in batches of _BATCH_HINT
+characters, each completed to a line end.  After the header, a batch goes
+to the rows in bulk when deleting its ASCII digits leaves exactly " \n"
+per line, its one split gives two ids per line, each id is a key of the
+{"1": 0, ..., str(n): n - 1} dict (canonical and in range) and no line is
+a self-loop.  Consecutive lines "u v1", "u v2", ... form a run
+(itertools.groupby); each run is scattered into a copy of an n-byte "0"
+row and packed by one int(..., 2).  A batch of short runs, as in a file
+in random order, takes one OR per edge instead.  Every other batch
+(header, comments, blank lines, other spacing, any bad line) goes through
+the per-line loop, the one place that accepts or rejects a line and names
+it by path:lineno; tests/bruteforce.py keeps the per-line reader alone as
+the oracle.  The rows hold each edge in the direction written (bit v - 1
+of row u - 1); after the last line _symmetrize ORs each row with its
+column, taken from one recursive bit-matrix transpose.  Graph.from_edges
+builds its rows the same way.  Beyond the rows themselves (at most n^2/8
+bytes), a read holds the transpose, padded to a power-of-two order N < 2n
+(at most N^2/8 < 4 n^2/8 bytes), the id dict and one batch.
 """
 
 from __future__ import annotations
 
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from itertools import compress
-from operator import is_
+from itertools import compress, groupby, islice
+from operator import eq
 
 from .errors import MalformedFileError, TooLargeError
 from .gf import make_field
@@ -45,10 +51,10 @@ from .subspace import Subspace, canonicalize, enumerate_subspaces
 
 VERTEX_LIMIT = 5000
 
-# read_gr pulls lines in batches of about this many characters
+# read_gr reads text in batches of this many characters and the rest of a line
 _BATCH_HINT = 1 << 14
-# a batch that is nothing but edge lines: two ASCII-digit ids, one space
-_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+# deletes the ASCII digits: a batch of "u v" edge lines leaves " \n" per line
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 # bin() digits to compress() selectors: b"1" -> 1, every other byte -> 0
 _ONE_FLAGS = bytes(c == ord("1") for c in range(256))
 
@@ -99,11 +105,9 @@ class Graph:
     def from_edges(cls, n_vertices: int, edges) -> "Graph":
         rows = [0] * n_vertices
         for u, v in edges:
-            if u == v:
-                continue
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n_vertices, rows)
+            if u != v:
+                rows[u] |= 1 << v
+        return cls(n_vertices, _symmetrize(rows))
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
@@ -296,17 +300,19 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
     comments = []
     n = None
     declared_m = None
-    # rows and one are indexed by 1-based vertex id; index 0 is padding
+    # rows[u - 1] holds bit v - 1 for each line "u v" as written; one
+    # transpose at the end adds the other direction
     rows: list[int] = []
-    one: list[int] = []
     id_of: dict[str, int] = {}
     lineno = 0
     with open_utf8(path) as fh:
-        while batch := fh.readlines(_BATCH_HINT):
-            if n is not None and _bulk_edges(batch, id_of, rows, one):
-                lineno += len(batch)
+        while text := fh.read(_BATCH_HINT):
+            if text[-1] != "\n":
+                text += fh.readline()  # end the batch with a whole line
+            if n is not None and _bulk_edges(text, id_of, rows):
+                lineno += text.count("\n")
                 continue
-            for raw in batch:
+            for raw in text.removesuffix("\n").split("\n"):
                 lineno += 1
                 line = raw.strip()
                 if not line:
@@ -327,9 +333,8 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
                     if n > limit:
                         raise TooLargeError(
                             f"{path}:{lineno}: {n} vertices exceed vertex limit {limit}")
-                    rows = [0] * (n + 1)
-                    one = [0, *(1 << i for i in range(n))]
-                    id_of = {str(i): i for i in range(1, n + 1)}
+                    rows = [0] * n
+                    id_of = {str(i + 1): i for i in range(n)}
                     continue
                 if n is None:
                     raise MalformedFileError(f"{path}:{lineno}: edge before header")
@@ -338,34 +343,89 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
                 u, v = parse_ints(parts, path, lineno)
                 if not (0 < u <= n and 0 < v <= n) or u == v:
                     raise MalformedFileError(f"{path}:{lineno}: edge out of range {line!r}")
-                rows[u] |= one[v]
-                rows[v] |= one[u]
+                rows[u - 1] |= 1 << (v - 1)
     if n is None:
         raise MalformedFileError(f"{path}: missing `p tw` header")
-    g = Graph(n, rows[1:], comments=comments)
+    g = Graph(n, _symmetrize(rows), comments=comments)
     m = edge_count(g)
     if m != declared_m:
         raise MalformedFileError(f"{path}: header declares {declared_m} edges, found {m}")
     return g
 
 
-def _bulk_edges(batch: list[str], id_of: dict[str, int], rows: list[int],
-                one: list[int]) -> bool:
-    """Add a batch of plain edge lines to rows and return True; or change
-    nothing and return False when the batch holds anything else (a comment,
-    a blank line, an id outside 1..n or a self-loop), so that the per-line
-    loop reads it and names any bad line."""
-    text = "".join(batch)
-    if not _EDGE_LINES.fullmatch(text):
+def _bulk_edges(text: str, id_of: dict[str, int], rows: list[int]) -> bool:
+    """Add a batch of plain "u v" edge lines to rows (bit v - 1 of row
+    u - 1) and return True; or change nothing and return False when the
+    batch holds anything else (a comment, a blank line, other spacing, an
+    id outside 1..n or a self-loop), so that the per-line loop reads it and
+    names any bad line."""
+    lines = text.count("\n")
+    if text[-1] != "\n" or text.translate(_NO_DIGITS) != " \n" * lines:
         return False
+    tokens = text.split()
+    if len(tokens) != 2 * lines:  # some id is empty
+        return False
+    n = len(rows)
+    us = tokens[0::2]
     try:
-        ends = list(map(id_of.__getitem__, text.split()))
+        vs = list(map(id_of.__getitem__, tokens[1::2]))
+        # packing a run costs about as much as n/32 single-bit ORs: a batch
+        # of more runs, as in a file in random order, takes one OR per edge
+        most = 32 * lines // n
+        runs = list(islice(((head, len(list(run))) for head, run in groupby(us)), most + 1))
+        if len(runs) > most:
+            us = list(map(id_of.__getitem__, us))
+            if any(map(eq, us, vs)):
+                return False
+            for u, v in zip(us, vs):
+                rows[u] |= 1 << v
+            return True
+        heads = [id_of[head] for head, _ in runs]
     except KeyError:  # outside 1..n, or not in canonical decimal form
         return False
-    us, vs = ends[0::2], ends[1::2]
-    if any(map(is_, us, vs)):  # equal ids are one object, both from id_of
-        return False
-    for u, v in zip(us, vs):
-        rows[u] |= one[v]
-        rows[v] |= one[u]
+    # each run of lines "u v1", "u v2", ... is scattered into a "0"/"1" row,
+    # least significant bit first, and packed by one int(..., 2)
+    zero = b"0" * n
+    masks = []
+    start = 0
+    for u, (_, size) in zip(heads, runs):
+        row = bytearray(zero)
+        for v in vs[start:start + size]:
+            row[v] = 49
+        start += size
+        mask = int(row[::-1], 2)
+        if mask >> u & 1:
+            return False
+        masks.append(mask)
+    for u, mask in zip(heads, masks):
+        rows[u] |= mask
     return True
+
+
+def _symmetrize(rows: list[int]) -> list[int]:
+    """rows[i] | column i of the bit matrix rows, for each i: the rows of
+    the undirected graph whose arcs rows holds in either direction.
+
+    The columns come from one transpose, the recursive block swap of
+    Warren, Hacker's Delight (2nd ed., 7-3), on the rows zero-padded to a
+    power of two N: in the round for each j = N/2, ..., 1, each pair of
+    rows k and k + j (bit j of k clear) swaps entry c of row k with entry
+    c - j of row k + j, for each column c with bit j set.  Holds at most
+    N^2/8 < 4 n^2/8 bytes beside rows."""
+    n = len(rows)
+    size = 1 << max(n - 1, 0).bit_length()
+    cols = rows + [0] * (size - n)
+    j = size >> 1
+    m = (1 << j) - 1  # the columns with bit j clear
+    while j:
+        for base in range(0, size, 2 * j):
+            for k in range(base, base + j):
+                t = ((cols[k] >> j) ^ cols[k + j]) & m
+                cols[k] ^= t << j
+                cols[k + j] ^= t
+        j >>= 1
+        m ^= m << j
+    for i, r in enumerate(rows):
+        cols[i] |= r
+    del cols[n:]
+    return cols

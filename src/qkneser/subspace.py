@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import AmbientMismatchError, EmptyMatrixError, TooLargeError
 from .gf import GF
@@ -52,12 +53,14 @@ class Subspace:
         if other.k > self.k:
             return False
         f = self.field
+        add, mul = f.add_table, f.mul_table
         for y in other.basis:
             r = y
             for row, p in zip(self.basis, self.pivot_cols):
                 c = r[p]
-                if c:
-                    r = [f.sub(a, f.mul(c, b)) for a, b in zip(r, row)]
+                if c:  # r + (-c) * row, entry by entry through the table rows
+                    r = list(map(getitem, map(add.__getitem__, r),
+                                 map(mul[f.neg(c)].__getitem__, row)))
             if any(r):
                 return False
         return True
@@ -68,11 +71,12 @@ class Subspace:
         The combination sum_j c_j * basis_j comes at position sum_j c_j q^j.
         """
         f = self.field
+        add, mul = f.add_table, f.mul_table
         span = [(0,) * self.n]
         for row in self.basis:
-            scaled = [tuple(f.mul(c, x) for x in row) for c in f.elements]
+            scaled = [tuple(map(mul[c].__getitem__, row)) for c in f.elements]
             span = [
-                tuple(f.add(u, v) for u, v in zip(vec, s))
+                tuple(map(getitem, map(add.__getitem__, vec), s))
                 for s in scaled
                 for vec in span
             ]

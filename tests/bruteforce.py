@@ -4,8 +4,8 @@ Deliberately naive implementations (literal ordering enumeration, exhaustive
 dynamic programming, unpruned clique and independent-set extension, span
 deduplication, pairwise intersection counting, every grouping of separator
 components, per-vertex breadth-first search of a bag tree, a
-one-line-at-a-time .gr reader) that share no code with the
-solvers and bulk routes they check.
+one-line-at-a-time .gr reader, a bit-by-bit matrix transpose, trial
+division) that share no code with the solvers and bulk routes they check.
 """
 
 from collections import deque
@@ -15,6 +15,19 @@ from qkneser.errors import MalformedFileError, TooLargeError
 from qkneser.gf import GF
 from qkneser.graph import VERTEX_LIMIT, Graph, edge_count, parse_ints
 from qkneser.subspace import canonicalize
+
+
+def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e, p the smallest divisor > 1 of q, or None when q
+    is not a prime power."""
+    if q < 2:
+        return None
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 def elimination_width(g: Graph, order) -> int:
@@ -274,6 +287,17 @@ def decomposition_witnesses(g: Graph, bags: list[int], edges) -> tuple:
             incoherent = v
             break
     return uncovered, (missed[0] if missed else None), incoherent
+
+
+def transpose_bits(rows: list[int], n: int) -> list[int]:
+    """The n x n bit matrix rows transposed one bit at a time: bit i of
+    the result's row j is bit j of rows[i]."""
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                out[j] |= 1 << i
+    return out
 
 
 def read_gr_lines(path, limit: int = VERTEX_LIMIT) -> Graph:

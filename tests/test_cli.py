@@ -398,6 +398,7 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
       "--out", "{tmp}/g.gr"], 2),                                  # not a resource limit
     (["params", "-q", "6", "-n", "7", "-k", "2", "-t", "1"], 2),   # no field of order 6
     (["params", "-q", "131", "-n", "7", "-k", "2", "-t", "1"], 0),  # prime; params builds no field
+    (["params", "-q", str(10**14 + 31), "-n", "7", "-k", "2", "-t", "1"], 0),  # a large prime
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
     (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")

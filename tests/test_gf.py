@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
+from bruteforce import prime_power_by_trial_division
 from qkneser.errors import NotPrimePowerError, UnsupportedFieldError
-from qkneser.gf import _PRIMES_TO_128, GF, make_field
+from qkneser.gf import _PRIMES_TO_128, GF, factor_prime_power, make_field
 
 SMALL_SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 LARGE_SUPPORTED = [37, 49, 64, 81, 101, 121, 125, 127, 128]
@@ -36,6 +38,41 @@ def test_not_prime_power_rejected():
     for q in (6, 10, 12, 100):
         with pytest.raises(NotPrimePowerError):
             GF(q)
+
+
+def _factor_or_none(q):
+    try:
+        return factor_prime_power(q)
+    except NotPrimePowerError:
+        return None
+
+
+def test_factor_prime_power_matches_trial_division():
+    for q in range(-2, 6000):
+        assert _factor_or_none(q) == prime_power_by_trial_division(q), q
+
+
+def test_factor_prime_power_is_fast_on_large_primes_and_powers():
+    start = time.perf_counter()
+    assert factor_prime_power(10**14 + 31) == (10**14 + 31, 1)
+    assert factor_prime_power((10**6 + 3) ** 3) == (10**6 + 3, 3)
+    assert factor_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert factor_prime_power(3**80) == (3, 80)
+    # trial division took over a second on the first of these alone
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("q", [
+    1, 6, 0, -4,
+    561,                       # a Carmichael number
+    3215031751,                # a strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,       # a strong pseudoprime to the primes up to 23
+    (2**61 - 1) * (10**6 + 3),
+    (10**6 + 3) ** 2 * 2,
+])
+def test_factor_prime_power_rejects_non_prime_powers(q):
+    with pytest.raises(NotPrimePowerError):
+        factor_prime_power(q)
 
 
 def test_unsupported_prime_powers_rejected():
@@ -138,6 +175,17 @@ def test_frobenius_fixes_every_element(q):
     f = make_field(q)
     for a in f.elements:
         assert f.pow(a, q) == a
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_tables_are_read_only_rows_of_add_and_mul(q):
+    f = make_field(q)
+    assert [list(r) for r in f.add_table] == [[f.add(a, b) for b in f.elements] for a in f.elements]
+    assert [list(r) for r in f.mul_table] == [[f.mul(a, b) for b in f.elements] for a in f.elements]
+    with pytest.raises(TypeError):
+        f.add_table[1][1] = 0
+    with pytest.raises(AttributeError):
+        f.mul_table = ()
 
 
 def test_sub_and_div_consistent():

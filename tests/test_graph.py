@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from bruteforce import (
     pairwise_meets,
     qkneser_rows_pairwise,
     read_gr_lines,
+    transpose_bits,
     vector_masks,
 )
 from qkneser.errors import MalformedFileError, NotPrimePowerError, TooLargeError
@@ -17,6 +19,7 @@ from qkneser.graph import (
     _BATCH_HINT,
     VERTEX_LIMIT,
     Graph,
+    _symmetrize,
     bits,
     build_cograssmann,
     build_qkneser,
@@ -179,6 +182,21 @@ def test_bits_matches_bit_test_oracle():
         masks.append(rng.getrandbits(width))
     for m in masks:
         assert bits(m) == _bits_oracle(m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 31, 64, 65, 100, 257])
+def test_symmetrize_matches_bit_transpose_oracle(n):
+    rng = random.Random(20261100 + n)
+    for density in (0.0, 0.05, 0.5, 1.0):
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        kept = list(rows)
+        assert _symmetrize(rows) == [r | c for r, c in zip(rows, transpose_bits(rows, n))]
+        assert rows == kept
+        # a strictly lower triangle and its transpose have disjoint bits, so
+        # the symmetrized rows give the transpose back exactly
+        lower = [r & ((1 << i) - 1) for i, r in enumerate(rows)]
+        sym = _symmetrize(lower)
+        assert [s & ~r for s, r in zip(sym, lower)] == transpose_bits(lower, n)
 
 
 def test_complement():
@@ -371,3 +389,88 @@ def test_read_gr_matches_line_oracle_on_seeded_inputs(tmp_path):
         late_in_big += big and where is not None and int(where[1]) > 2 * _BATCH_HINT // 8
     assert read_ok >= 300 and failed >= 100
     assert late_in_big >= 5
+
+
+# defects written over one line in the middle of a long run "u v1", "u v2",
+# ...; by the run's head u, the line's own v and n
+_RUN_DEFECTS = {
+    "self-loop": lambda u, v, n: f"{u} {u}",
+    "out of range": lambda u, v, n: f"{u} {n + 1}",
+    "leading zeros": lambda u, v, n: f"{u} 00{v}",
+    "tab": lambda u, v, n: f"{u}\t{v}",
+    "crlf": lambda u, v, n: f"{u} {v}\r",
+    "missing id": lambda u, v, n: f"{u} ",
+}
+
+
+def _sorted_gr(rng: random.Random, defect: str | None) -> tuple[str, int, int]:
+    """A .gr text written the way write_gr writes, ascending "u v" lines with
+    u < v, so that each vertex's later neighbours form one run of lines.  A
+    few hubs among the low ids have runs longer than a batch; twenty
+    vertices have runs of 60 to 300 lines; a few hundred sparse edges fill
+    in, and some edges off the hubs are written as "v u".  Returns the text
+    and the character span [start, stop) of the run that carries the
+    defect."""
+    n = rng.randint(2700, 2900)
+    edges = set()
+    hubs = rng.sample(range(100), rng.randint(2, 4))
+    for h in hubs:
+        edges.update((min(h, v), max(h, v)) for v in range(n) if v != h and rng.random() < 0.98)
+    for u in rng.sample(range(n // 2), 20):
+        edges.update((u, v) for v in rng.sample(range(u + 1, n), rng.randint(60, 300)))
+    for _ in range(rng.randint(200, 400)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    order = sorted(edges)
+    lines = [f"{v + 1} {u + 1}" if u not in hubs and rng.random() < 0.02 else f"{u + 1} {v + 1}"
+             for u, v in order]
+    # the last hub's run starts after the first hub's, so past the header batch
+    hub = max(hubs)
+    run = [i for i, (u, _) in enumerate(order) if u == hub]
+    if defect is not None:
+        at = rng.choice(run[len(run) // 4:-len(run) // 4])
+        lines[at] = _RUN_DEFECTS[defect](hub + 1, order[at][1] + 1, n)
+    head = [f"c sorted test n={n}", f"p tw {n} {len(edges)}"]
+    start = sum(len(line) + 1 for line in head + lines[:run[0]])
+    return "\n".join(head + lines) + "\n", start, start + sum(len(lines[i]) + 1 for i in run)
+
+
+@pytest.mark.parametrize("defect", [None, *_RUN_DEFECTS])
+def test_read_gr_matches_line_oracle_on_long_sorted_runs(tmp_path, defect):
+    rng = random.Random(f"long runs {defect}")
+    path = tmp_path / "runs.gr"
+    for _ in range(3):
+        text, start, stop = _sorted_gr(rng, defect)
+        assert start > _BATCH_HINT and stop - start > _BATCH_HINT
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(read_gr, path, VERTEX_LIMIT)
+        assert got == _outcome(read_gr_lines, path, VERTEX_LIMIT)
+        if defect in ("self-loop", "out of range", "missing id"):
+            assert got[0] is MalformedFileError and re.search(r"runs\.gr:\d+: ", got[1])
+        else:
+            assert isinstance(got[0], int)
+
+
+@pytest.mark.parametrize("tail", ["5 \n34", "5 \n", " 5\n", "5 \n 6\n", "5 6\n\n", "5  6\n"])
+def test_bulk_batches_with_an_empty_id_go_line_by_line(tmp_path, tail):
+    # the header batch is read line by line; the tail sits in a later batch
+    text = "p tw 40 1\n" + "1 2\n" * 5000 + tail
+    path = tmp_path / "empty.gr"
+    path.write_text(text)
+    got = _outcome(read_gr, path, VERTEX_LIMIT)
+    assert got == _outcome(read_gr_lines, path, VERTEX_LIMIT)
+
+
+def test_read_gr_peak_memory_within_four_bit_matrices(tmp_path):
+    g = build_qkneser(Params(6, 2, 1, 2))
+    path = tmp_path / "k.gr"
+    write_gr(g, path)
+    tracemalloc.start()
+    try:
+        back = read_gr(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = g.n_vertices
+    assert n == 651 and back.rows == g.rows
+    assert peak <= 4 * n * n // 8 + (1 << 20)
