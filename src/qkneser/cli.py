@@ -119,13 +119,13 @@ def _certifies(g, d, value: int) -> bool:
 def cmd_solve(args):
     io_ms = []
     ok = True
-    if args.gr:
+    if args.gr and {args.q, args.n, args.k, args.t} == {None}:
         start = time.monotonic()
         g = read_gr(args.gr, limit=args.limit)
         io_ms.append(("read_ms", _ms_since(start)))
         source = args.gr
-    elif None in (args.q, args.n, args.k, args.t):
-        raise UsageError("solve needs either --gr PATH or all of -q -n -k -t")
+    elif args.gr or None in (args.q, args.n, args.k, args.t):
+        raise UsageError("solve needs either --gr PATH or all of -q -n -k -t, not both")
     else:
         p, _ = _params(args)
         g = build_qkneser(p, limit=args.limit)

@@ -18,7 +18,7 @@ class BadQError(QKneserError, ValueError):
 
 
 class AmbientMismatchError(QKneserError, ValueError):
-    """Subspaces live over different fields or ambient dimensions."""
+    """Subspaces, or rows given as vectors, do not lie in one GF(q)^n."""
 
 
 class EmptyMatrixError(QKneserError, ValueError):

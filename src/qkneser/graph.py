@@ -8,9 +8,9 @@ directly.
 
 One code path builds adjacency, _meet_layers: u and v are non-adjacent iff
 they share a t-subspace, so the non-neighbours of u are the union of the
-point pencils of the t-subspaces of u.  That costs V * [k,t]_q big-integer
-ORs (V * [n-k,t-2k+n]_q on the complement side when 2k > n) instead of one
-intersection test per vertex pair.
+point pencils of the t-subspaces of u (subspace.span_frames; Subspace.perp
+when 2k > n).  That costs V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q
+on the complement side) instead of one intersection test per vertex pair.
 
 bits() is the one way to walk a packed row: it returns the set bits of a
 mask in ascending order.
@@ -47,7 +47,7 @@ from operator import eq
 from .errors import MalformedFileError, TooLargeError
 from .gf import make_field
 from .qcount import Params, alpha_formula, degree_formula, gauss, tw_formula_applies, tw_formula_qkneser
-from .subspace import Subspace, canonicalize, enumerate_subspaces
+from .subspace import Subspace, enumerate_subspaces, span_frames
 
 VERTEX_LIMIT = 5000
 
@@ -144,22 +144,6 @@ def is_regular(g: Graph) -> bool:
     return all(r.bit_count() == d for r in g.rows)
 
 
-def _complement_space(s: Subspace) -> Subspace:
-    """Orthogonal complement of s under the standard dot product, in RREF.
-    Its basis is the null space of s's RREF basis: one vector per free
-    column f, with 1 at f and -basis[i][f] at pivot column i."""
-    f = s.field
-    free = [c for c in range(s.n) if c not in s.pivot_cols]
-    rows = []
-    for c in free:
-        vec = [0] * s.n
-        vec[c] = 1
-        for row, p in zip(s.basis, s.pivot_cols):
-            vec[p] = f.neg(row[c])
-        rows.append(vec)
-    return canonicalize(f, rows)
-
-
 def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
                  dims: list[int]) -> dict[int, list[int]]:
     """{d: ge_d} for each 1 <= d < k in dims, where ge_d[u] is the bitmask
@@ -167,12 +151,11 @@ def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
 
     Two subspaces meet in dimension >= d iff they share a d-subspace T, so
     ge_d[u] is the union of the pencils pencil[T] = {v : T in label_v} over
-    the d-subspaces T of label_u.  A T of U = rowspace(B), B in RREF, is
-    rowspace(C B) for a unique RREF coefficient matrix C, and C B is then
-    itself in RREF: its rows, taken from U's span, are T's canonical key.
+    the d-subspaces T of label_u.  subspace.span_frames gives each T's RREF
+    basis as positions in U's span, so its rows are T's canonical key.
 
-    When 2k > n the work moves to the complements, which have the smaller
-    dimension n-k: dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
+    When 2k > n the work moves to the complements (Subspace.perp), of the
+    smaller dimension n-k: dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
     """
     field = make_field(q)
     nv = len(labels)
@@ -181,14 +164,8 @@ def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
     keyed = [d for d in dims if d > shift]
     if not keyed:
         return layers
-    # per keyed d, the RREF coefficient matrices C as row indices into the
-    # span order of Subspace.vectors(): coefficients c sit at sum_j c_j q^j
-    frames = [
-        [tuple(sum(c * q**j for j, c in enumerate(row)) for row in coeffs.basis)
-         for coeffs in enumerate_subspaces(field, k - shift, d - shift)]
-        for d in keyed
-    ]
-    spaces = labels if shift == 0 else [_complement_space(s) for s in labels]
+    frames = [span_frames(field, k - shift, d - shift) for d in keyed]
+    spaces = labels if shift == 0 else [s.perp() for s in labels]
     key_ids: dict[tuple, int] = {}
     pencils: list[int] = []
     members = [[] for _ in keyed]  # members[i][u]: pencil ids of u's subspaces

@@ -133,14 +133,12 @@ def intersect_count(n: int, j: int, i: int, m: int, q: int) -> int:
 
 
 def degree_formula(p: Params) -> int:
-    """Common vertex degree of K_q(n,k,t) (the graph is vertex-transitive):
+    """Common vertex degree of K_q(n,k,t) (the graph is vertex-transitive),
+    the k-subspaces meeting a fixed one in dimension below t:
 
         sum_{i=0}^{t-1} q^((k-i)^2) * [n-k, k-i] * [k, i]
     """
-    return sum(
-        p.q ** ((p.k - i) ** 2) * gauss(p.n - p.k, p.k - i, p.q) * gauss(p.k, i, p.q)
-        for i in range(p.t)
-    )
+    return sum(intersect_count(p.n, p.k, p.k, i, p.q) for i in range(p.t))
 
 
 def alpha_formula(p: Params) -> int:
@@ -211,8 +209,7 @@ def layer_exceeds_alpha(p: Params) -> bool:
     exceeds the independence number.  Holds throughout n >= 2k; this is the
     inequality that makes Delta + alpha < |V|.
     """
-    lhs = p.q ** ((p.k - p.t) ** 2) * gauss(p.n - p.k, p.k - p.t, p.q) * gauss(p.k, p.t, p.q)
-    return lhs > gauss(p.n - p.t, p.k - p.t, p.q)
+    return intersect_count(p.n, p.k, p.k, p.t, p.q) > gauss(p.n - p.t, p.k - p.t, p.q)
 
 
 def pigeonhole_bound_holds(p: Params) -> bool:

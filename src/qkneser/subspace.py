@@ -1,15 +1,21 @@
-"""Canonical subspaces of F_q^n and their exhaustive enumeration.
+"""Canonical subspaces of F_q^n, their algebra and exhaustive enumeration.
 
 A k-subspace is represented by its reduced row echelon form (RREF) basis,
 which is unique, so two Subspace values are equal iff their basis matrices
 are identical.  Enumeration runs over pivot-column patterns in lexicographic
 order with the free entries counted in base q, which is linear in the output
 size and gives the package's canonical vertex numbering.
+
+All row reduction goes through one kernel, _reduce, which contains() runs
+on each basis row and _rref (behind canonicalize and dim_sum) on each row
+it adds.  Subspace.perp() and span_frames() are the rest of the subspace
+algebra that graph.py needs.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import getitem
 
@@ -44,24 +50,13 @@ class Subspace:
         return self.sort_key() < other.sort_key()
 
     def contains(self, other: "Subspace") -> bool:
-        """True iff other is a subspace of self.
-
-        Each basis row y of other is reduced against self's RREF rows: the
-        residual y - sum_i y[pivot_i] * basis_i is zero iff y lies in self.
-        """
+        """True iff other is a subspace of self: each basis row of other
+        reduces to zero against self's RREF rows."""
         _check_compatible(self, other)
         if other.k > self.k:
             return False
-        f = self.field
-        add, mul = f.add_table, f.mul_table
         for y in other.basis:
-            r = y
-            for row, p in zip(self.basis, self.pivot_cols):
-                c = r[p]
-                if c:  # r + (-c) * row, entry by entry through the table rows
-                    r = list(map(getitem, map(add.__getitem__, r),
-                                 map(mul[f.neg(c)].__getitem__, row)))
-            if any(r):
+            if any(_reduce(self.field, self.basis, self.pivot_cols, y)):
                 return False
         return True
 
@@ -82,69 +77,101 @@ class Subspace:
             ]
         return iter(span)
 
+    def perp(self) -> "Subspace":
+        """Orthogonal complement under the standard dot product, in RREF.
+        Its basis is the null space of the RREF basis: one vector per free
+        column c, with 1 at c and -basis[i][c] at pivot column i."""
+        f, n = self.field, self.n
+        rows = []
+        for c in range(n):
+            if c not in self.pivot_cols:
+                vec = [0] * n
+                vec[c] = 1
+                for row, p in zip(self.basis, self.pivot_cols):
+                    vec[p] = f.neg(row[c])
+                rows.append(vec)
+        return canonicalize(f, rows or [[0] * n])
+
     def __repr__(self):
         rows = ";".join("".join(str(x) for x in r) for r in self.basis)
         return f"Subspace(q={self.field.q}, n={self.n}, [{rows}])"
 
 
-def _rref(field: GF, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place Gaussian elimination to RREF; returns (nonzero rows, pivots)."""
-    m, n = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        head = rows[r][c]
-        if head != 1:
-            s = field.inv(head)
-            rows[r] = [field.mul(s, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
+def span_frames(field: GF, k: int, d: int) -> list[tuple[int, ...]]:
+    """The d-subspaces T of any k-subspace U = rowspace(B), B in RREF, as
+    positions in U.vectors(), in the order of enumerate_subspaces(field, k,
+    d).  T = rowspace(C B) for a unique RREF d x k matrix C, and C B is then
+    in RREF; its row c B sits at position sum_j c_j q^j of U.vectors()."""
+    q = field.q
+    return [tuple(sum(c * q**j for j, c in enumerate(row)) for row in coeffs.basis)
+            for coeffs in enumerate_subspaces(field, k, d)]
+
+
+def _reduce(field: GF, rows, pivots, vec):
+    """vec - sum_i vec[pivots[i]] * rows[i] through the field's table rows:
+    the residual of vec against RREF rows, zero iff vec lies in their span.
+    Each step clears one pivot entry and leaves the others as they were."""
+    add, mul, neg = field.add_table, field.mul_table, field.neg
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c:
+            vec = list(map(getitem, map(add.__getitem__, vec), map(mul[neg(c)].__getitem__, row)))
+    return vec
+
+
+def _rref(field: GF, rows, basis=(), pivots=()) -> tuple[list, list[int]]:
+    """RREF rows and pivots of the span of basis (RREF, with pivots) and
+    rows, one row at a time: its residual, scaled to a leading 1, clears
+    its pivot column from the rows with an entry there and goes in by pivot."""
+    basis, pivots = list(basis), list(pivots)
+    for vec in rows:
+        if len(pivots) == len(vec):  # a full-rank basis spans every vector
             break
-    return rows[:r], pivots
+        r = _reduce(field, basis, pivots, vec) if basis else vec
+        p = next(itertools.compress(itertools.count(), r), None)
+        if p is None:
+            continue
+        if r[p] != 1:
+            r = list(map(field.mul_table[field.inv(r[p])].__getitem__, r))
+        for i, row in enumerate(basis):
+            if row[p]:
+                basis[i] = _reduce(field, (r,), (p,), row)
+        i = bisect_left(pivots, p)
+        basis.insert(i, r)
+        pivots.insert(i, p)
+    return basis, pivots
 
 
 def canonicalize(field: GF, rows) -> Subspace:
     """RREF span of the given row vectors (any spanning set, any rank).
 
     The result is independent of the basis choice; k = rank(rows).
-    Raises EmptyMatrixError when no rows are given.
+    Raises EmptyMatrixError when no rows are given, AmbientMismatchError
+    when they are not vectors of one F_q^n (unequal lengths, an entry
+    outside 0..q-1).
     """
-    rows = [list(r) for r in rows]
+    rows = [tuple(r) for r in rows]
     if not rows:
         raise EmptyMatrixError("need at least one row vector")
     n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise AmbientMismatchError("rows of unequal length")
-    red, pivots = _rref(field, rows)
-    return Subspace(field, n, len(red), tuple(tuple(r) for r in red), tuple(pivots))
+    elements = set(field.elements)
+    if any(len(r) != n or not elements.issuperset(r) for r in rows):
+        raise AmbientMismatchError(f"rows are not vectors of GF({field.q})^{n}")
+    basis, pivots = _rref(field, rows)
+    return Subspace(field, n, len(basis), tuple(map(tuple, basis)), tuple(pivots))
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
-    if a.field != b.field or a.n != b.n:
+    if (a.field is not b.field and a.field != b.field) or a.n != b.n:
         raise AmbientMismatchError(
             f"incompatible subspaces: GF({a.field.q})^{a.n} vs GF({b.field.q})^{b.n}"
         )
 
 
 def dim_sum(a: Subspace, b: Subspace) -> int:
-    """dim(A + B) = rank of the stacked bases."""
+    """dim(A + B): the rank of B's rows added to A's RREF rows."""
     _check_compatible(a, b)
-    if a.k == 0:
-        return b.k
-    if b.k == 0:
-        return a.k
-    stacked = [list(r) for r in a.basis] + [list(r) for r in b.basis]
-    red, _ = _rref(a.field, stacked)
-    return len(red)
+    return len(_rref(a.field, b.basis, a.basis, a.pivot_cols)[1])
 
 
 def dim_intersection(a: Subspace, b: Subspace) -> int:

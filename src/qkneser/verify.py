@@ -63,11 +63,8 @@ class SuiteReport:
 def unit_subspace(q: int, n: int, dim: int):
     """span{e_1, ..., e_dim} in F_q^n, the canonical fixed subspace
     (the zero subspace for dim = 0)."""
-    field = make_field(q)
-    if dim == 0:
-        return canonicalize(field, [[0] * n])
-    rows = [[1 if j == i else 0 for j in range(n)] for i in range(dim)]
-    return canonicalize(field, rows)
+    rows = [[int(j == i) for j in range(n)] for i in range(dim)]
+    return canonicalize(make_field(q), rows or [[0] * n])
 
 
 @dataclass

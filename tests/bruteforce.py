@@ -2,8 +2,9 @@
 
 Deliberately naive implementations (literal ordering enumeration, exhaustive
 dynamic programming, unpruned clique and independent-set extension, span
-deduplication, pairwise intersection counting, every grouping of separator
-components, per-vertex breadth-first search of a bag tree, a
+deduplication, column-by-column Gauss-Jordan elimination, span sets grown
+one row at a time, pairwise intersection counting, every grouping of
+separator components, per-vertex breadth-first search of a bag tree, a
 one-line-at-a-time .gr reader, a bit-by-bit matrix transpose, trial
 division) that share no code with the solvers and bulk routes they check.
 """
@@ -188,6 +189,44 @@ def subspaces_by_span_dedup(field: GF, n: int, k: int) -> set:
         if s.k == k:
             spans.add(s)
     return spans
+
+
+def rref_gauss_jordan(field: GF, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """In-place Gaussian elimination to RREF; returns (nonzero rows, pivots).
+    Column by column, one field call per entry (the package's elimination
+    before it reduced rows through the field tables)."""
+    m, n = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        head = rows[r][c]
+        if head != 1:
+            s = field.inv(head)
+            rows[r] = [field.mul(s, x) for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
+
+
+def span_set(field: GF, n: int, rows) -> set[tuple[int, ...]]:
+    """Every vector of F_q^n in the span of rows: starting from the zero
+    vector, each row adds all its multiples to every vector so far, one
+    field call per entry.  q^rank vectors; only for tiny q^n."""
+    span = {(0,) * n}
+    for row in rows:
+        span = {tuple(field.add(x, field.mul(c, y)) for x, y in zip(vec, row))
+                for vec in span for c in field.elements}
+    return span
 
 
 def vector_masks(labels) -> list[int]:

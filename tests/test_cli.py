@@ -399,8 +399,10 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["params", "-q", "6", "-n", "7", "-k", "2", "-t", "1"], 2),   # no field of order 6
     (["params", "-q", "131", "-n", "7", "-k", "2", "-t", "1"], 0),  # prime; params builds no field
     (["params", "-q", str(10**14 + 31), "-n", "7", "-k", "2", "-t", "1"], 0),  # a large prime
+    (["solve", "--gr", "{tmp}/edge.gr", "-q", "3", "-n", "5", "-k", "2", "-t", "1"], 2),
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
+    (tmp_path / "edge.gr").write_text("p tw 2 1\n1 2\n")
     (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")
     (tmp_path / "latin1.gr").write_bytes(b"p tw 3 1\n1 2\xff\n")
     (tmp_path / "latin1_late.gr").write_bytes(b"p tw 2 1\n" + b"1 2\n" * 10000 + b"2 1\xff\n")

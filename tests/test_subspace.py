@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from bruteforce import subspaces_by_span_dedup
+from bruteforce import rref_gauss_jordan, span_set, subspaces_by_span_dedup
 from qkneser.errors import AmbientMismatchError, EmptyMatrixError, TooLargeError
 from qkneser.gf import make_field
 from qkneser.qcount import gauss
-from qkneser.subspace import canonicalize, dim_intersection, dim_sum, enumerate_subspaces
+from qkneser.subspace import (
+    canonicalize,
+    dim_intersection,
+    dim_sum,
+    enumerate_subspaces,
+    span_frames,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -46,6 +52,104 @@ def test_rank_deficient_input_drops_rows():
 def test_empty_matrix_rejected():
     with pytest.raises(EmptyMatrixError):
         canonicalize(F2, [])
+
+
+@pytest.mark.parametrize("q,rows", [
+    (2, [[1, 2]]), (2, [[1, -1]]), (2, [[2, 1]]), (2, [[1, 0], [0, 1, 1]]),
+    (9, [[0, 9, 1]]), (3, [[1, 1], [0, -3]]),
+])
+def test_rows_outside_the_field_rejected(q, rows):
+    with pytest.raises(AmbientMismatchError):
+        canonicalize(make_field(q), rows)
+
+
+def _oracle_rows(rng, field, n: int, m: int) -> list[list[int]]:
+    """m rows of F_q^n: random ones, zero rows, repeats and combinations of
+    earlier rows, so that the rank is often below m."""
+    rows = []
+    for _ in range(m):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows.append([0] * n)
+        elif kind == 1 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 2 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.randrange(field.q)
+            rows.append([field.add(x, field.mul(c, y)) for x, y in zip(a, b)])
+        else:
+            rows.append([rng.randrange(field.q) for _ in range(n)])
+    return rows
+
+
+def _oracle_rank(field, rows) -> int:
+    return len(rref_gauss_jordan(field, [list(r) for r in rows])[0]) if rows else 0
+
+
+def test_kernel_matches_gauss_jordan_and_span_oracles():
+    """canonicalize, contains and dim_sum against column-by-column
+    Gauss-Jordan elimination and, where q^n is tiny, against span sets."""
+    rng = random.Random(1207)
+    small = 0
+    for _ in range(1000):
+        field = make_field(rng.choice((2, 3, 4, 5, 7, 8, 9)))
+        q = field.q
+        n = rng.randrange(8)
+        rows = _oracle_rows(rng, field, n, rng.randrange(n + 3))
+        if not rows:
+            with pytest.raises(EmptyMatrixError):
+                canonicalize(field, rows)
+            continue
+        s = canonicalize(field, rows)
+        basis, pivots = rref_gauss_jordan(field, [list(r) for r in rows])
+        assert s.basis == tuple(map(tuple, basis))
+        assert s.pivot_cols == tuple(pivots) and s.k == len(basis)
+        # a second space, often spanned by some of the same rows
+        more = _oracle_rows(rng, field, n, rng.randrange(n + 2))
+        t = canonicalize(field, rng.sample(rows, rng.randrange(len(rows) + 1)) + more
+                         or [[0] * n])
+        total = _oracle_rank(field, s.basis + t.basis)
+        assert dim_sum(s, t) == dim_sum(t, s) == total
+        assert s.contains(t) == (total == s.k)
+        assert t.contains(s) == (total == t.k)
+        if q**n <= 256:
+            small += 1
+            span_s, span_t = span_set(field, n, rows), span_set(field, n, t.basis)
+            assert span_set(field, n, s.basis) == span_s and len(span_s) == q**s.k
+            assert s.contains(t) == (span_t <= span_s)
+            assert q ** dim_sum(s, t) == len(span_set(field, n, s.basis + t.basis))
+    assert small >= 150
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 3), (2, 6, 4), (3, 4, 3), (4, 3, 2), (9, 3, 2),
+                                   (2, 4, 4), (5, 2, 1)])
+def test_perp_is_the_orthogonal_complement(q, n, k):
+    field = make_field(q)
+    for s in enumerate_subspaces(field, n, k):
+        perp = s.perp()
+        assert s.k + perp.k == n
+        for u in s.basis:
+            for w in perp.basis:
+                dot = 0
+                for x, y in zip(u, w):
+                    dot = field.add(dot, field.mul(x, y))
+                assert dot == 0
+        assert perp.perp() == s
+
+
+@pytest.mark.parametrize("q,n,k,d", [(3, 4, 2, 1), (2, 5, 3, 2), (4, 3, 3, 1), (2, 4, 2, 0)])
+def test_span_frames_pick_each_subspace_once(q, n, k, d):
+    """[U.vectors()[i] for i in frame] runs through the RREF bases of the
+    d-subspaces of U, each once."""
+    field = make_field(q)
+    frames = span_frames(field, k, d)
+    assert len(frames) == gauss(k, d, q)
+    inside = [w for w in enumerate_subspaces(field, n, d)]
+    for s in list(enumerate_subspaces(field, n, k))[:20]:
+        span = list(s.vectors())
+        picked = [canonicalize(field, [span[i] for i in fr] or [[0] * n]) for fr in frames]
+        assert [w.basis for w in picked] == [tuple(span[i] for i in fr) for fr in frames]
+        assert sorted(picked) == sorted(w for w in inside if s.contains(w))
 
 
 def test_canonical_form_independent_of_basis_choice():
