@@ -23,7 +23,8 @@ from . import ekr, twsolve
 from .errors import MalformedTreeError, QKneserError, ResourceLimitError, UsageError
 from .gf import factor_prime_power
 from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
-from .qcount import Params, Window, alpha_formula, degree_formula, tw_formula_applies, tw_value
+from .qcount import (Params, Window, alpha_formula, check_printable, degree_formula,
+                     tw_formula_applies, tw_value)
 from .td import validate, width, write_td
 from .verify import SUITES, run_suite, star_certificate
 
@@ -52,6 +53,7 @@ def _params(args) -> tuple[Params, list]:
 
 def cmd_params(args):
     p, report = _params(args)
+    check_printable(p)
     report += [
         ("vertices", gauss(p.n, p.k, p.q)),
         ("delta", degree_formula(p)),
@@ -119,16 +121,18 @@ def _certifies(g, d, value: int) -> bool:
 def cmd_solve(args):
     io_ms = []
     ok = True
+    # a graph above the treewidth solver's cap is refused before it is read or built
+    limit = min(args.limit, twsolve.VERTEX_CAP) if args.task == "tw" else args.limit
     if args.gr and {args.q, args.n, args.k, args.t} == {None}:
         start = time.monotonic()
-        g = read_gr(args.gr, limit=args.limit)
+        g = read_gr(args.gr, limit=limit)
         io_ms.append(("read_ms", _ms_since(start)))
         source = args.gr
     elif args.gr or None in (args.q, args.n, args.k, args.t):
         raise UsageError("solve needs either --gr PATH or all of -q -n -k -t, not both")
     else:
         p, _ = _params(args)
-        g = build_qkneser(p, limit=args.limit)
+        g = build_qkneser(p, limit=limit)
         source = f"K_{p.q}({p.n},{p.k},{p.t})"
     budget_s = args.budget_ms / 1000.0 if args.budget_ms is not None else None
     report = [("input", source), ("task", args.task), ("vertices", g.n_vertices)]
@@ -184,18 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_params.set_defaults(run=cmd_params)
     _add_param_flags(p_params, required=True)
 
-    p_build = subs.add_parser("build", parents=[limit],
-                              help="build K_q(n,k,t) and export a .gr file")
-    p_build.set_defaults(run=cmd_build)
-    _add_param_flags(p_build, required=True)
-    p_build.add_argument("--out", help="output path (default derived from params)")
-
-    p_dec = subs.add_parser("decompose", parents=[limit],
-                            help="build, star-decompose from a point pencil, "
-                                 "validate, export a .td file")
-    p_dec.set_defaults(run=cmd_decompose)
-    _add_param_flags(p_dec, required=True)
-    p_dec.add_argument("--out", help="output path (default derived from params)")
+    for name, run, text in (
+            ("build", cmd_build, "build K_q(n,k,t) and export a .gr file"),
+            ("decompose", cmd_decompose,
+             "build, star-decompose from a point pencil, validate, export a .td file")):
+        p_out = subs.add_parser(name, parents=[limit], help=text)
+        p_out.set_defaults(run=run)
+        _add_param_flags(p_out, required=True)
+        p_out.add_argument("--out", help="output path (default derived from params)")
 
     p_ver = subs.add_parser("verify", help="run a named verification suite")
     p_ver.set_defaults(run=cmd_verify)

@@ -193,20 +193,10 @@ def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
     return layers
 
 
-def _labels(n: int, k: int, q: int, limit: int) -> list[Subspace]:
-    """The k-subspaces of F_q^n in enumeration order; fails fast when
-    [n,k]_q exceeds the limit."""
-    field = make_field(q)
-    nv = gauss(n, k, q)
-    if nv > limit:
-        raise TooLargeError(f"[{n},{k}]_{q} = {nv} exceeds vertex limit {limit}")
-    return list(enumerate_subspaces(field, n, k))
-
-
 def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
     """Materialize K_q(n,k,t): vertices = k-subspaces of F_q^n, edges where
     dim(intersection) < t.  Fails fast when [n,k]_q exceeds the limit."""
-    labels = _labels(p.n, p.k, p.q, limit)
+    labels = list(enumerate_subspaces(make_field(p.q), p.n, p.k, limit))
     ge = _meet_layers(labels, p.n, p.k, p.q, [p.t])[p.t]
     full = (1 << len(labels)) - 1
     return Graph(len(labels), [full ^ r for r in ge], labels=labels, meta=p)
@@ -226,7 +216,7 @@ def build_qkneser_all_t(n: int, k: int, q: int, limit: int = VERTEX_LIMIT
     Identical output to per-t build_qkneser calls; the subspaces are
     enumerated and keyed once for all t.
     """
-    labels = _labels(n, k, q, limit)
+    labels = list(enumerate_subspaces(make_field(q), n, k, limit))
     nv = len(labels)
     full = (1 << nv) - 1
     layers = _meet_layers(labels, n, k, q, list(range(1, k)))

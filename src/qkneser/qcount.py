@@ -8,15 +8,17 @@ Everything here is a polynomial identity or integer comparison in q, so q
 is accepted as any integer >= 2 (no prime-power validation: sweeping over
 non-prime-powers costs nothing and catches algebra errors).  No floats or
 rationals anywhere; inequalities with rational factors are cross-multiplied
-into pure integer comparisons.
+into pure integer comparisons.  gauss_at_most is the one size gate, asked
+before any enumeration or printed report.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadQError, OutOfRangeError
+from .errors import BadQError, OutOfRangeError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,25 @@ def gauss(a: int, b: int, q: int) -> int:
     if rem:
         raise ArithmeticError(f"[{a},{b}]_{q}: inexact division {num} / {den}")
     return quot
+
+
+def gauss_at_most(a: int, b: int, q: int, limit: int) -> bool:
+    """Is [a,b]_q <= limit?  [a,b]_q >= q^(b(a-b)) >= 2^(b(a-b)(bit_length(q)-1)),
+    so that exponent >= bit_length(limit) answers no with nothing multiplied
+    out; otherwise gauss is computed (q < 2 raises BadQError) and compared."""
+    if q >= 2 and b * (a - b) * (q.bit_length() - 1) >= limit.bit_length():
+        return False
+    return gauss(a, b, q) <= limit
+
+
+def check_printable(*params: Params) -> None:
+    """TooLargeError unless each [n,k]_q, which bounds every count reported
+    for its p, prints within the interpreter's int-to-str digit limit."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = 10**digits - 1
+    for p in params:
+        if not gauss_at_most(p.n, p.k, p.q, limit):
+            raise TooLargeError(f"[{p.n},{p.k}]_{p.q} has more than {digits} decimal digits")
 
 
 def gauss_identities_hold(m: int, i: int, q: int) -> bool:

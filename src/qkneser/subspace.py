@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, index
 
 from .errors import AmbientMismatchError, EmptyMatrixError, TooLargeError
 from .gf import GF
-from .qcount import gauss
+from .qcount import gauss_at_most
 
 ENUMERATION_LIMIT = 10_000_000
 
@@ -148,9 +148,12 @@ def canonicalize(field: GF, rows) -> Subspace:
     The result is independent of the basis choice; k = rank(rows).
     Raises EmptyMatrixError when no rows are given, AmbientMismatchError
     when they are not vectors of one F_q^n (unequal lengths, an entry
-    outside 0..q-1).
+    outside 0..q-1 or not an integer, such as 1.0).
     """
-    rows = [tuple(r) for r in rows]
+    try:
+        rows = [tuple(map(index, r)) for r in rows]
+    except TypeError:
+        raise AmbientMismatchError(f"rows are not vectors over GF({field.q})") from None
     if not rows:
         raise EmptyMatrixError("need at least one row vector")
     n = len(rows[0])
@@ -184,13 +187,13 @@ def enumerate_subspaces(field: GF, n: int, k: int, limit: int = ENUMERATION_LIMI
     pivot-column k-sets lexicographically; within a pattern, the free
     entries run through base-q counters in row-major order.
 
-    Fails fast with TooLargeError when [n,k]_q exceeds the limit.
+    Fails fast with TooLargeError when qcount.gauss_at_most finds that
+    [n,k]_q exceeds the limit.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
-    total = gauss(n, k, field.q)
-    if total > limit:
-        raise TooLargeError(f"[{n},{k}]_{field.q} = {total} exceeds limit {limit}")
+    if not gauss_at_most(n, k, field.q, limit):
+        raise TooLargeError(f"[{n},{k}]_{field.q} exceeds limit {limit}")
     elements = tuple(field.elements)
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)

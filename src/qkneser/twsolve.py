@@ -13,8 +13,7 @@ skipped before its rows are copied.  A simplicial or almost-simplicial
 vertex of small enough degree is eliminated without branching (the safe
 reduction of Bodlaender & Koster, "Safe separators for treewidth", 2006;
 see _decide_width), which keeps every refutation exact.  For graphs known
-to be vertex-transitive the root eliminates vertex 0 only.  An interrupted
-run keeps its best ordering, but its lower bound is only the static one.
+to be vertex-transitive the root eliminates vertex 0 only.
 
 balanced_separator_search exhaustively looks for a vertex set X of bounded
 size whose removal splits the graph into parts A and B with no A-B edge and
@@ -29,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .cliques import max_clique
+from .cliques import Budget, BudgetExhausted, max_clique
 from .errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
 from .graph import Graph, bits
 from .td import TreeDecomposition, width
@@ -60,10 +59,6 @@ class SolveResult:
     elapsed: float
     # one (width, FOUND or REFUTED, nodes) per decided level, in order
     levels: list[tuple[int, str, int]] = field(default_factory=list)
-
-
-class _Budget(Exception):
-    pass
 
 
 def min_fill_order(g: Graph) -> tuple[int, list[int]]:
@@ -128,8 +123,6 @@ def clique_lower_bound(g: Graph, time_budget: float | None = None) -> int:
     """Exact maximum clique size (omega - 1 <= tw).  If CLIQUE_NODE_BUDGET or
     the time budget runs out the best clique found is still a valid bound
     and is returned."""
-    if g.n_vertices == 0:
-        return 0
     return max_clique(g.rows, node_budget=CLIQUE_NODE_BUDGET, time_budget=time_budget).size
 
 
@@ -195,18 +188,16 @@ def _clique_but_one(rows: list[int], nb: int) -> bool:
     return False
 
 
-def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
-                  failed: set[int], roots: list[int], state: dict,
-                  node_budget: int | None, deadline: float | None) -> bool:
-    """Does some elimination ordering keep every elimination degree <= target?
+def _decide_width(rows0: list[int], target: int, failed: set[int], roots: list[int],
+                  budget: Budget) -> list[int] | None:
+    """An ordering whose elimination degrees are all <= target, or None if refuted.
 
-    Fills order_out on success.  `failed` holds the alive-sets refuted so
-    far and gains every one refuted here; a set refuted at some width is
-    refuted at every smaller one, so callers that decide widths in
-    descending order may share it.  A child whose alive-set is in `failed`
-    is skipped before its rows are copied.  The root branches only on the
-    vertices in `roots`.  Adds this call's nodes, memo hits and forced
-    nodes to `state`, also when the budget cuts it short.
+    `failed` holds the alive-sets refuted so far and gains every one refuted
+    here; a set refuted at some width is refuted at every smaller one, so
+    callers that decide widths in descending order may share it.  A child
+    whose alive-set is in `failed` is skipped before its rows are copied.
+    The root branches only on the vertices in `roots`.  Each node ticks
+    `budget`, which also tallies memo hits and forced nodes.
 
     A candidate v (deg(v) <= target) whose neighbourhood N(v) is a clique
     (simplicial), or is a clique once one vertex w is left out (almost
@@ -222,32 +213,26 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
     scan walks, and as the mask `alive`, which cuts neighbourhoods and keys
     the memo.
     """
-    nodes = memo_hits = forced = 0
-    limit = None if node_budget is None else node_budget - state["nodes"]
+    order: list[int] = []
 
     def dfs(rows: list[int], alive: int, live: list[int], scan: list[int]) -> bool:
-        nonlocal nodes, memo_hits, forced
         if len(live) <= target + 1:
-            order_out.extend(live)
+            order.extend(live)
             return True
-        nodes += 1
-        if limit is not None and nodes > limit:
-            raise _Budget
-        if deadline is not None and nodes % 128 == 0 and time.monotonic() > deadline:
-            raise _Budget
+        budget.tick()
         cands = []
         for v in scan:
             nb = rows[v] & alive
             if nb.bit_count() <= target:
                 if _clique_but_one(rows, nb):
-                    forced += 1
+                    budget.forced += 1
                     cands = [(v, nb)]
                     break
                 cands.append((v, nb))
         for v, nb in cands:
             rest = alive & ~(1 << v)
             if rest in failed:
-                memo_hits += 1
+                budget.memo_hits += 1
                 continue
             new_rows = list(rows)
             mm = nb
@@ -257,19 +242,14 @@ def _decide_width(rows0: list[int], n: int, target: int, order_out: list[int],
                 new_rows[lo2.bit_length() - 1] |= nb & ~lo2
             child = live.copy()
             child.remove(v)
-            order_out.append(v)
+            order.append(v)
             if dfs(new_rows, rest, child, child):
                 return True
-            order_out.pop()
+            order.pop()
         failed.add(alive)
         return False
 
-    try:
-        return dfs(rows0, (1 << n) - 1, list(range(n)), roots)
-    finally:
-        state["nodes"] += nodes
-        state["memo_hits"] += memo_hits
-        state["forced"] += forced
+    return order if dfs(rows0, (1 << len(rows0)) - 1, list(range(len(rows0))), roots) else None
 
 
 def treewidth_exact(g: Graph, node_budget: int | None = None,
@@ -293,54 +273,44 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     from its parameters (GL(n,q) is transitive on k-subspaces and keeps
     intersection dimensions); on other graphs the result may be wrong.
 
-    A run cut short by node_budget or time_budget returns UPPER_BOUND_ONLY
-    with the best ordering found; its `lower` is only the static bound,
-    since no level below the upper bound has been refuted yet.
+    node_budget and time_budget make one cliques.Budget for all levels.  A
+    run that spends it returns UPPER_BOUND_ONLY with the best ordering
+    found; its `lower` is only the static bound, since no level below the
+    upper bound has been refuted yet.
     """
     n = g.n_vertices
     if n > VERTEX_CAP:
         raise TooLargeError(f"{n} vertices exceeds solver cap {VERTEX_CAP}")
-    start = time.monotonic()
-    deadline = start + time_budget if time_budget is not None else None
-    state = {"nodes": 0, "memo_hits": 0, "forced": 0}
-
+    budget = Budget(node_budget, time_budget)
     if n == 0:
         return SolveResult(-1, EXACT, -1, -1, [], TreeDecomposition(0, [0], []),
-                           0, 0, 0, time.monotonic() - start)
+                           0, 0, 0, time.monotonic() - budget.start)
 
     upper, best_order = min_fill_order(g)
-    omega = clique_lower_bound(
-        g,
-        time_budget=None if deadline is None else max(0.1, (deadline - time.monotonic()) / 4),
-    )
+    # omega - 1 <= minor-min-width: a clique search cut short leaves `lower` as is
+    omega = clique_lower_bound(g, time_budget=budget.deadline - time.monotonic())
     lower = max(minor_min_width(g), omega - 1, 0)
 
     failed: set[int] = set()
     roots = [0] if vertex_transitive else list(range(n))
     levels: list[tuple[int, str, int]] = []
-    interrupted = False
-    while lower < upper:
-        attempt: list[int] = []
-        before = state["nodes"]
-        try:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise _Budget
-            found = _decide_width(list(g.rows), n, upper - 1, attempt, failed, roots,
-                                  state, node_budget, deadline)
-        except _Budget:
-            interrupted = True
-            break
-        levels.append((upper - 1, FOUND if found else REFUTED, state["nodes"] - before))
-        if not found:
-            lower = upper
-            break
-        upper, best_order = width(decomposition_from_order(g, attempt)), attempt
+    status = EXACT
+    try:
+        while lower < upper:
+            before = budget.nodes
+            attempt = _decide_width(g.rows, upper - 1, failed, roots, budget)
+            levels.append((upper - 1, REFUTED if attempt is None else FOUND, budget.nodes - before))
+            if attempt is None:
+                lower = upper
+            else:
+                upper, best_order = width(decomposition_from_order(g, attempt)), attempt
+    except BudgetExhausted:
+        status = UPPER_BOUND_ONLY
 
-    elapsed = time.monotonic() - start
+    elapsed = time.monotonic() - budget.start
     decomposition = decomposition_from_order(g, best_order)
-    status = UPPER_BOUND_ONLY if interrupted else EXACT
     return SolveResult(upper, status, lower, upper, best_order, decomposition,
-                       state["nodes"], state["memo_hits"], state["forced"], elapsed, levels)
+                       budget.nodes, budget.memo_hits, budget.forced, elapsed, levels)
 
 
 # -- balanced separators ------------------------------------------------------

@@ -24,8 +24,10 @@ from .qcount import (
     Params,
     Window,
     alpha_formula,
+    check_printable,
     degree_formula,
     delta_alpha_below_vertex_count,
+    gauss_at_most,
     gauss_bounds_hold,
     gauss_identities_hold,
     intersect_count,
@@ -105,9 +107,9 @@ def buildable_instances(qs=(2, 3), max_vertices: int = 3000) -> list[tuple[int, 
     out = []
     for q in qs:
         k = 2
-        while gauss(k + 1, k, q) <= max_vertices:
+        while gauss_at_most(k + 1, k, q, max_vertices):
             n = k
-            while gauss(n, k, q) <= max_vertices:
+            while gauss_at_most(n, k, q, max_vertices):
                 out.append((q, n, k))
                 n += 1
             k += 1
@@ -152,11 +154,14 @@ def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8,
     pigeonhole bound holds in the treewidth-formula range; and
     Delta + alpha < |V| wherever alpha is defined.  With `out`, writes
     one qcount.sweep_records line per grid point to that path.  An empty
-    grid is a UsageError, raised before `out` is written."""
+    grid is a UsageError, and with `out` counts too long to print a
+    TooLargeError, both raised before `out` is opened."""
     grid = claims_params(qmax, nmax, kmax)
     if not grid:
         raise UsageError(f"verify claims: the grid q <= {qmax}, k <= {kmax}, "
                          f"2k <= n <= {nmax} is empty")
+    if out is not None:
+        check_printable(*reversed(grid))  # largest first: a refusal comes at once
     rep = SuiteReport("claims")
     in_range = 0
     for p in grid:

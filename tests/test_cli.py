@@ -198,6 +198,17 @@ def test_solve_budget_zero_gives_bracket(capsys):
     assert int(got["lower"]) <= int(got["upper"])
 
 
+def test_solve_mis_budget_zero_gives_lower_bound_only(capsys):
+    # the clock is read before the first search node, so --budget-ms 0
+    # leaves only the greedy seed, as --help promises
+    code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
+                    "--task", "mis", "--budget-ms", "0")
+    got = parse(out)
+    assert code == 0
+    assert got["status"] == "lower_bound_only" and got["nodes"] == "0"
+    assert 1 <= int(got["value"]) <= 7
+
+
 def test_solve_tw_from_params_refutes_one_level(capsys):
     code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
                     "--task", "tw")
@@ -334,6 +345,31 @@ def test_input_error_prints_one_line_without_usage(tmp_path, argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["params", "-q", "2", "-n", "240", "-k", "120", "-t", "1"],
+    ["params", "-q", "3", "-n", "20000", "-k", "2", "-t", "1"],
+    ["build", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1", "--out", "{tmp}/g.gr"],
+    ["verify", "claims", "--qmax", "9", "--nmax", "600", "--out", "{tmp}/records.csv"],
+    ["solve", "--gr", "{tmp}/wide.gr", "--task", "tw"],
+])
+def test_resource_limit_prints_one_line_without_traceback(tmp_path, argv):
+    (tmp_path / "wide.gr").write_text("p tw 65 1\n1 2\n")
+    proc = cli(*[a.format(tmp=tmp_path) for a in argv])
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("resource limit: ")
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["wide.gr"]  # nothing written
+
+
+def test_solver_cap_binds_only_the_treewidth_task(tmp_path, capsys):
+    gr = tmp_path / "wide.gr"
+    gr.write_text("p tw 65 1\n1 2\n")
+    assert main(["solve", "--gr", str(gr), "--task", "tw"]) == 3
+    assert "wide.gr:1: 65 vertices exceed vertex limit 64" in capsys.readouterr().err
+    code, out = run(capsys, "solve", "--gr", str(gr), "--task", "mis")
+    assert code == 0 and parse(out)["value"] == "64"
+
+
 # ---------------------------------------------------------------------------
 # report shape and exit codes, across all commands
 # ---------------------------------------------------------------------------
@@ -400,6 +436,14 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["params", "-q", "131", "-n", "7", "-k", "2", "-t", "1"], 0),  # prime; params builds no field
     (["params", "-q", str(10**14 + 31), "-n", "7", "-k", "2", "-t", "1"], 0),  # a large prime
     (["solve", "--gr", "{tmp}/edge.gr", "-q", "3", "-n", "5", "-k", "2", "-t", "1"], 2),
+    # counts too long to print, or graphs too large to build: refused by the size gate
+    (["params", "-q", "2", "-n", "240", "-k", "120", "-t", "1"], 3),
+    (["params", "-q", "2", "-n", "1000000000", "-k", "2", "-t", "1"], 3),
+    (["build", "-q", "2", "-n", "240", "-k", "120", "-t", "1", "--out", "{tmp}/g.gr"], 3),
+    (["decompose", "-q", "2", "-n", "240", "-k", "120", "-t", "1", "--out", "{tmp}/g.td"], 3),
+    (["solve", "-q", "2", "-n", "240", "-k", "120", "-t", "1"], 3),
+    (["build", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1", "--out", "{tmp}/g.gr"], 3),
+    (["verify", "claims", "--qmax", "9", "--nmax", "600", "--out", "{tmp}/records.csv"], 3),
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
     (tmp_path / "edge.gr").write_text("p tw 2 1\n1 2\n")

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -72,6 +73,15 @@ def test_adjacency_is_symmetric_no_loops():
 def test_vertex_limit_guard():
     with pytest.raises(TooLargeError):
         build_qkneser(Params(8, 2, 1, 2), limit=5000)  # 10795 vertices
+
+
+def test_oversized_build_is_refused_without_counting_its_vertices():
+    # [4000,2000]_2 has over a million digits; the size gate refuses it from
+    # bit lengths alone, and the message does not print the count
+    start = time.monotonic()
+    with pytest.raises(TooLargeError, match=r"^\[4000,2000\]_2 exceeds limit 5000$"):
+        build_qkneser(Params(4000, 2000, 1, 2))
+    assert time.monotonic() - start < 2.0
 
 
 def test_non_prime_power_rejected_at_build():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qkneser.errors import BadQError, OutOfRangeError
@@ -8,6 +10,7 @@ from qkneser.qcount import (
     degree_formula,
     delta_alpha_below_vertex_count,
     gauss,
+    gauss_at_most,
     gauss_bounds_hold,
     gauss_identities_hold,
     intersect_count,
@@ -56,6 +59,32 @@ def test_gauss_symmetry():
 def test_gauss_accepts_non_prime_power_q():
     # polynomial identity in q; q = 6 must still give exact integers
     assert gauss(4, 2, 6) == (6**4 - 1) * (6**3 - 1) // ((6**2 - 1) * 5)
+
+
+def test_size_gate_agrees_with_the_multiplied_out_count():
+    # the gate answers from bit lengths alone once
+    # e = k(n-k)(bit_length(q)-1) >= bit_length(limit); each case takes
+    # limits on both sides of that boundary and around [n,k]_q itself
+    rng = random.Random(20261018)
+    cases = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        for _ in range(40):
+            n = rng.randrange(0, 24)
+            for k in (-1, 0, rng.randrange(n + 1), n, n + 1):
+                count = gauss(n, k, q)
+                e = k * (n - k) * (q.bit_length() - 1)
+                limits = {0, 1, count - 1, count, count + 1}
+                if e > 0:
+                    # bit_length e: the gate stops early; e + 1: it multiplies out
+                    limits |= {1 << (e - 1), (1 << e) - 1, (1 << e) | rng.getrandbits(e), 1 << e}
+                for limit in limits:
+                    assert gauss_at_most(n, k, q, limit) == (count <= limit), (n, k, q, limit)
+                    cases += 1
+    assert cases > 5000
+    # far past the limit, nothing is multiplied out
+    assert not gauss_at_most(10**9, 2, 2, 10**4300)
+    with pytest.raises(BadQError):
+        gauss_at_most(4, 2, 1, 0)
 
 
 # ---------------------------------------------------------------------------

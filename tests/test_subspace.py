@@ -57,6 +57,7 @@ def test_empty_matrix_rejected():
 @pytest.mark.parametrize("q,rows", [
     (2, [[1, 2]]), (2, [[1, -1]]), (2, [[2, 1]]), (2, [[1, 0], [0, 1, 1]]),
     (9, [[0, 9, 1]]), (3, [[1, 1], [0, -3]]),
+    (2, [[1.0, 0]]), (2, [[1.0, 0], [1, 1]]),  # floats equal to field elements
 ])
 def test_rows_outside_the_field_rejected(q, rows):
     with pytest.raises(AmbientMismatchError):

@@ -11,6 +11,7 @@ from bruteforce import (
     tw_by_subset_dp,
 )
 from qkneser import twsolve
+from qkneser.cliques import Budget, max_clique
 from qkneser.errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
 from qkneser.families import (
     complete_graph,
@@ -204,7 +205,7 @@ def test_almost_simplicial_rule_and_memo_match_subset_dp():
     # most of these graphs are settled by the static bounds, so each one is
     # also decided directly at tw (found) and tw - 1 (refuted), sharing one
     # memo as treewidth_exact does
-    stats = {"nodes": 0, "memo_hits": 0, "forced": 0}
+    stats = Budget()
     for g, transitive in _sparse_corpus():
         n = g.n_vertices
         tw = tw_by_subset_dp(g)
@@ -216,15 +217,13 @@ def test_almost_simplicial_rule_and_memo_match_subset_dp():
             memo = _OnceOnlyMemo()
             roots = [0] if vt else list(range(n))
             for target in (tw, tw - 1):
-                order = []
-                found = twsolve._decide_width(list(g.rows), n, target, order, memo, roots,
-                                              stats, None, None)
-                assert found == (target == tw), (g.rows, vt, target)
-                if found:
+                order = twsolve._decide_width(g.rows, target, memo, roots, stats)
+                assert (order is not None) == (target == tw), (g.rows, vt, target)
+                if order is not None:
                     assert sorted(order) == list(range(n))
                     assert elimination_width(g, order) <= target
     # the corpus exercises both the rule and the memo
-    assert stats["forced"] > 0 and stats["memo_hits"] > 0
+    assert stats.forced > 0 and stats.memo_hits > 0
 
 
 def test_grids_are_refuted_within_a_small_node_budget():
@@ -330,6 +329,19 @@ def test_node_budget_mid_search_keeps_the_best_ordering_and_static_lower():
     assert width(r.decomposition) == r.upper
     assert validate(g, r.decomposition).valid
     assert r.levels == [(25, FOUND, r.levels[0][2])]
+
+
+def test_budget_admits_exactly_node_budget_nodes():
+    # one Budget spans the levels: the 5000 nodes are shared between the
+    # level found and the level cut short
+    g = random_graph(36, 0.5, 36501)
+    assert treewidth_exact(g, node_budget=5000).nodes == 5000
+    # the MIS search of K_2(4,2,1) takes 35 nodes
+    rows = build_qkneser(Params(4, 2, 1, 2)).complement().rows
+    assert max_clique(rows).nodes == 35
+    for budget in (0, 1, 34):
+        r = max_clique(rows, node_budget=budget)
+        assert not r.exact and r.nodes == budget
 
 
 def test_vertex_cap_guard():
