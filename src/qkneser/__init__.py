@@ -18,7 +18,6 @@ from .errors import (
     OutOfRangeError,
     QKneserError,
     ResourceLimitError,
-    SearchSpaceTooLargeError,
     TooLargeError,
     UnsupportedFieldError,
     UsageError,

@@ -25,7 +25,7 @@ from .subspace import Subspace
 def point_pencil(g: Graph, t_space: Subspace) -> int:
     """Bitmask of the vertices whose subspace contains the fixed t-subspace."""
     if g.labels is None or g.meta is None:
-        raise ValueError("graph has no subspace labels")
+        raise OutOfRangeError("graph has no subspace labels")
     if t_space.k != g.meta.t:
         raise DimMismatchError(f"need a {g.meta.t}-subspace, got dim {t_space.k}")
     mask = 0
@@ -39,7 +39,7 @@ def nest_family(g: Graph, w_space: Subspace) -> int:
     """Bitmask of the vertices whose subspace lies inside the fixed
     (n-t)-subspace; only defined when n = 2k (otherwise not extremal)."""
     if g.labels is None or g.meta is None:
-        raise ValueError("graph has no subspace labels")
+        raise OutOfRangeError("graph has no subspace labels")
     p = g.meta
     if p.n != 2 * p.k:
         raise OutOfRangeError(f"nest family needs n = 2k, got n={p.n} k={p.k}")

@@ -26,7 +26,8 @@ class EmptyMatrixError(QKneserError, ValueError):
 
 
 class OutOfRangeError(QKneserError, ValueError):
-    """Parameters fall outside the range where a formula is asserted."""
+    """Parameters fall outside the range where a formula is asserted, or
+    an input lies outside a construction's domain."""
 
 
 class DimMismatchError(QKneserError, ValueError):
@@ -51,12 +52,9 @@ class UsageError(QKneserError, ValueError):
 
 
 class ResourceLimitError(QKneserError):
-    """Base class for fail-fast size and search-space guards."""
+    """Base class for fail-fast size guards."""
 
 
 class TooLargeError(ResourceLimitError):
-    """Enumeration or construction would exceed the configured size limit."""
-
-
-class SearchSpaceTooLargeError(ResourceLimitError):
-    """Exhaustive separator search refused: guard on |V| and cap exceeded."""
+    """Enumeration, construction or search would exceed a size limit, or
+    a primality question lies beyond the proven test."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotPrimePowerError, UnsupportedFieldError
+from .errors import NotPrimePowerError, TooLargeError, UnsupportedFieldError
 
 _PRIMES_TO_128 = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -48,9 +48,9 @@ _MR_PROVEN = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n >= 2.  Beyond _MR_PROVEN it tries
-    every base a < bit_length(n)^2, above 2 ln^2 n, which decides n if the
-    generalized Riemann hypothesis holds (Bach, Math. Comp. 55, 1990)."""
+    """Miller-Rabin to the 13 prime bases up to 41, for n >= 2.  A witness
+    proves n composite at any size; passing every base proves n prime only
+    below _MR_PROVEN, so at or above it a pass raises TooLargeError."""
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -58,8 +58,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_PROVEN else range(2, n.bit_length() ** 2)
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -69,6 +68,8 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVEN:
+        raise TooLargeError("primality above 3.3e24 is not decided by a proven test")
     return True
 
 
@@ -85,7 +86,8 @@ def _iroot(n: int, k: int) -> int:
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, or raise NotPrimePowerError.  Only the
     e-th root of q for the right e is prime, so each e from 1 up is tried
-    once: an integer root, a power check and a primality test."""
+    once: an integer root, a power check and a primality test.  A root
+    whose primality _is_prime cannot prove raises TooLargeError."""
     if q < 2:
         raise NotPrimePowerError(f"q must be >= 2, got {q}")
     for e in range(1, q.bit_length() + 1):

@@ -62,7 +62,7 @@ def gauss(a: int, b: int, q: int) -> int:
     if q < 2:
         raise BadQError(f"q must be >= 2, got {q}")
     if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
+        raise OutOfRangeError(f"a must be >= 0, got {a}")
     if b < 0 or b > a:
         return 0
     if b == 0 or b == a:

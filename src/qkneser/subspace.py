@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import getitem, index
 
-from .errors import AmbientMismatchError, EmptyMatrixError, TooLargeError
+from .errors import AmbientMismatchError, EmptyMatrixError, OutOfRangeError, TooLargeError
 from .gf import GF
 from .qcount import gauss_at_most
 
@@ -191,7 +191,7 @@ def enumerate_subspaces(field: GF, n: int, k: int, limit: int = ENUMERATION_LIMI
     [n,k]_q exceeds the limit.
     """
     if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
+        raise OutOfRangeError(f"need 0 <= k <= n, got n={n} k={k}")
     if not gauss_at_most(n, k, field.q, limit):
         raise TooLargeError(f"[{n},{k}]_{field.q} exceeds limit {limit}")
     elements = tuple(field.elements)

@@ -26,17 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 from .cliques import Budget, BudgetExhausted, max_clique
-from .errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
+from .errors import MalformedTreeError, TooLargeError
 from .graph import Graph, bits
 from .td import TreeDecomposition, width
 
 VERTEX_CAP = 64
 CLIQUE_NODE_BUDGET = 2_000_000
-SEPARATOR_VERTEX_CAP = 40
-SEPARATOR_SIZE_CAP = 12
+SEPARATOR_CANDIDATES = 10**6
 
 EXACT = "exact"
 UPPER_BOUND_ONLY = "upper_bound_only"
@@ -354,8 +354,8 @@ def balanced_separator_search(g: Graph, size_cap: int):
         lo = ceil(r/3)  <=  |A|, |B|  <=  hi = floor(2r/3),   r = |V - X|.
 
     Exhaustive over all candidate sets in deterministic order; returns a
-    SeparatorWitness or None when none exists within the cap.  Guarded to
-    |V| <= 40 and size_cap <= 12.
+    SeparatorWitness or None when none exists within the cap, or raises
+    TooLargeError first if there are more than SEPARATOR_CANDIDATES sets.
 
     For each X, A takes the components of G - X largest first until
     |A| >= lo; a balanced split exists iff then |A| <= hi (lo + hi = r, so
@@ -367,11 +367,9 @@ def balanced_separator_search(g: Graph, size_cap: int):
     most at 2lo - 2 <= hi.
     """
     n = g.n_vertices
-    if n > SEPARATOR_VERTEX_CAP or size_cap > SEPARATOR_SIZE_CAP:
-        raise SearchSpaceTooLargeError(
-            f"exhaustive search limited to |V| <= {SEPARATOR_VERTEX_CAP} "
-            f"and cap <= {SEPARATOR_SIZE_CAP}, got |V|={n} cap={size_cap}"
-        )
+    counts = accumulate(comb(n, size) for size in range(min(size_cap, n) + 1))
+    if any(count > SEPARATOR_CANDIDATES for count in counts):
+        raise TooLargeError(f"separator search over more than {SEPARATOR_CANDIDATES} sets")
     full = (1 << n) - 1
     for size in range(min(size_cap, n) + 1):
         for combo in combinations(range(n), size):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from bruteforce import prime_power_by_trial_division
-from qkneser.errors import NotPrimePowerError, UnsupportedFieldError
+from qkneser.errors import NotPrimePowerError, TooLargeError, UnsupportedFieldError
 from qkneser.gf import _PRIMES_TO_128, GF, factor_prime_power, make_field
 
 SMALL_SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -59,6 +59,23 @@ def test_factor_prime_power_is_fast_on_large_primes_and_powers():
     assert factor_prime_power(2**61 - 1) == (2**61 - 1, 1)
     assert factor_prime_power(3**80) == (3, 80)
     # trial division took over a second on the first of these alone
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_powers_above_the_proven_bound_are_decided_by_their_base():
+    # q itself lies above 3.3e24, where the 13 bases prove nothing, but its
+    # base lies below it (a prime power) or a base is a witness (a composite)
+    assert factor_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    with pytest.raises(NotPrimePowerError):
+        factor_prime_power((2**61 - 1) * (2**31 - 1))
+
+
+@pytest.mark.parametrize("q", [2**89 - 1, 2**521 - 1])
+def test_primes_above_the_proven_bound_are_refused_fast(q):
+    # Mersenne primes pass all 13 bases, which proves nothing above 3.3e24
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        factor_prime_power(q)
     assert time.perf_counter() - start < 0.5
 
 

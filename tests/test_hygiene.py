@@ -22,6 +22,29 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+# names a raise may use besides the classes of errors.py: control flow
+# caught inside the package, GF.inv(0), gauss's exact-division invariant,
+# and argparse's protocol for a bad option value (exit 2)
+ALLOWED_RAISES = {"BudgetExhausted", "ZeroDivisionError", "ArithmeticError",
+                  "argparse.ArgumentTypeError"}
+
+
+def test_every_raise_names_a_package_error():
+    # input errors reach callers as typed QKneserErrors, never as bare
+    # built-ins; a bare `raise` re-raises what was caught and is not checked
+    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef)}
+    assert "QKneserError" in errors
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+                if name not in errors | ALLOWED_RAISES:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
 def test_cli_imports_only_the_standard_library():
     # the package declares dependencies = []: importing the CLI in a fresh
     # interpreter may load nothing outside the standard library and qkneser

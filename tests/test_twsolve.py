@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from bruteforce import (
 )
 from qkneser import twsolve
 from qkneser.cliques import Budget, max_clique
-from qkneser.errors import MalformedTreeError, SearchSpaceTooLargeError, TooLargeError
+from qkneser.errors import MalformedTreeError, TooLargeError
 from qkneser.families import (
     complete_graph,
     cycle_graph,
@@ -395,10 +396,20 @@ def test_separator_trivial_full_removal():
 
 
 def test_separator_guards():
-    with pytest.raises(SearchSpaceTooLargeError):
-        balanced_separator_search(path_graph(41), 1)
-    with pytest.raises(SearchSpaceTooLargeError):
-        balanced_separator_search(path_graph(10), 13)
+    # the guard counts candidate sets, sum of C(n, s) for s <= cap, before
+    # the first one: P_40 at cap 5 has 760,099 and is searched, at cap 6
+    # 4,598,479 and is refused; K_40 at cap 12 (9.1e9) is refused at once,
+    # and a graph above 40 vertices is searched when its count is small
+    w = balanced_separator_search(path_graph(40), 5)
+    assert w is not None and w.separator == 1 << 13
+    with pytest.raises(TooLargeError):
+        balanced_separator_search(path_graph(40), 6)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        balanced_separator_search(complete_graph(40), 12)
+    assert time.perf_counter() - start < 0.1
+    w = balanced_separator_search(path_graph(41), 1)
+    assert w is not None and w.separator == 1 << 14
 
 
 def test_separator_property_on_exact_instances():
