@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Verification sweeps: run the named suites over their default grids and
+"""Verification sweeps: run the named suites over their fixed grids and
 show the sweep-record export.  The claims suite deliberately reports the
 five exact-arithmetic counterexamples it finds (see README)."""
 
@@ -25,5 +25,5 @@ for name in ("identities", "claims", "td", "separators"):
 
 print()
 print(f"(the claims grid has {len(claims_params())} parameter points; the")
-print("degrees and ekr suites rebuild every graph up to 3000 vertices and")
-print("take a minute - run `qkneser verify degrees` / `qkneser verify ekr`)")
+print("degrees and ekr suites rebuild every graph up to 3000 vertices, about")
+print("a second each - run `qkneser verify degrees` / `qkneser verify ekr`)")

@@ -17,7 +17,6 @@ from .errors import (
     NotPrimePowerError,
     OutOfRangeError,
     QKneserError,
-    ResourceLimitError,
     TooLargeError,
     UnsupportedFieldError,
     UsageError,

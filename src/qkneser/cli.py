@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import ekr, twsolve
-from .errors import MalformedTreeError, QKneserError, ResourceLimitError, UsageError
+from .errors import MalformedTreeError, QKneserError, TooLargeError, UsageError
 from .gf import factor_prime_power
 from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
 from .qcount import (Params, Window, alpha_formula, check_printable, degree_formula,
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         report, ok = args.run(args)
-    except ResourceLimitError as exc:
+    except TooLargeError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (QKneserError, OSError) as exc:

@@ -51,10 +51,6 @@ class UsageError(QKneserError, ValueError):
     """Command-line options that the chosen command cannot use."""
 
 
-class ResourceLimitError(QKneserError):
-    """Base class for fail-fast size guards."""
-
-
-class TooLargeError(ResourceLimitError):
+class TooLargeError(QKneserError):
     """Enumeration, construction or search would exceed a size limit, or
-    a primality question lies beyond the proven test."""
+    a primality question lies beyond the proven test (CLI exit 3)."""

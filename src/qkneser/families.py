@@ -1,8 +1,10 @@
-"""Small named graphs and random instances for solver validation.
+"""Small named graphs and seeded random graphs for solver validation.
 
-These are solver test fixtures (complete graphs, paths, cycles, grids, the
-Petersen graph as the set-Kneser graph K(5,2), and seeded Erdos-Renyi
-samples), not part of the finite-geometry constructions.
+These are solver test fixtures (complete graphs, paths, cycles, grids,
+random trees, the Petersen graph as the set-Kneser graph K(5,2), and
+Erdos-Renyi samples), not part of the finite-geometry constructions.
+verify.corpus picks the sizes and seeds of the corpus that the exact
+solvers are checked on.
 """
 
 from __future__ import annotations
@@ -61,14 +63,3 @@ def random_graph(m: int, p: float, seed: int) -> Graph:
     edges = [e for e in combinations(range(m), 2) if rng.random() < p]
     return Graph.from_edges(m, edges)
 
-
-def solver_corpus(count: int = 50, seed: int = 20240801) -> list[tuple[str, Graph]]:
-    """The random slice of the solver-validation corpus: `count` seeded
-    graphs of 5..9 vertices with mixed densities."""
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        m = rng.randrange(5, 10)
-        p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
-        out.append((f"random-{i}(n={m},p={p})", random_graph(m, p, rng.randrange(1 << 30))))
-    return out

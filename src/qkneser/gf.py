@@ -84,19 +84,30 @@ def _iroot(n: int, k: int) -> int:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise NotPrimePowerError.  Only the
-    e-th root of q for the right e is prime, so each e from 1 up is tried
-    once: an integer root, a power check and a primality test.  A root
-    whose primality _is_prime cannot prove raises TooLargeError."""
+    """Return (p, e) with q = p^e, or raise NotPrimePowerError.  A base p
+    of _MR_BASES that divides q is its only candidate: dividing p out must
+    leave 1.  Otherwise every prime factor is at least 43, and each e from
+    1 up is tried once until the e-th root drops below 43: an integer
+    root, a power check and a primality test.  A root whose primality
+    _is_prime cannot prove raises TooLargeError.  No message prints q."""
     if q < 2:
-        raise NotPrimePowerError(f"q must be >= 2, got {q}")
+        raise NotPrimePowerError("q must be >= 2")
+    for p in _MR_BASES:
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            if q == 1:
+                return p, e
+            raise NotPrimePowerError("q is not a prime power")
     for e in range(1, q.bit_length() + 1):
         p = _iroot(q, e)
-        if p < 2:
+        if p <= _MR_BASES[-1]:
             break
         if p ** e == q and _is_prime(p):
             return p, e
-    raise NotPrimePowerError(f"{q} is not a prime power")
+    raise NotPrimePowerError("q is not a prime power")
 
 
 class GF:

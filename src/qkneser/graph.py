@@ -202,21 +202,21 @@ def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
     return Graph(len(labels), [full ^ r for r in ge], labels=labels, meta=p)
 
 
-def build_cograssmann(n: int, k: int, q: int, limit: int = VERTEX_LIMIT) -> Graph:
+def build_cograssmann(n: int, k: int, q: int) -> Graph:
     """Complement of the Grassmann graph G_q(n,k), i.e. K_q(n,k,k-1)."""
-    return build_qkneser(Params(n, k, k - 1, q), limit=limit)
+    return build_qkneser(Params(n, k, k - 1, q))
 
 
-def build_qkneser_all_t(n: int, k: int, q: int, limit: int = VERTEX_LIMIT
-                        ) -> tuple[dict[int, Graph], list[list[int]]]:
+def build_qkneser_all_t(n: int, k: int, q: int) -> tuple[dict[int, Graph], list[list[int]]]:
     """All graphs K_q(n,k,t) for 1 <= t < k from one set of meet layers.
 
     Returns ({t: Graph}, histograms) where histograms[u][d] counts the
     vertices v (u itself included) with dim(label_u cap label_v) = d.
     Identical output to per-t build_qkneser calls; the subspaces are
-    enumerated and keyed once for all t.
+    enumerated and keyed once for all t.  Fails fast when [n,k]_q exceeds
+    VERTEX_LIMIT.
     """
-    labels = list(enumerate_subspaces(make_field(q), n, k, limit))
+    labels = list(enumerate_subspaces(make_field(q), n, k, VERTEX_LIMIT))
     nv = len(labels)
     full = (1 << nv) - 1
     layers = _meet_layers(labels, n, k, q, list(range(1, k)))

@@ -1,4 +1,4 @@
-"""Named verification suites over configurable parameter grids.
+"""Named verification suites, each over one fixed parameter grid.
 
 Each suite cross-checks one slice of the package against an independent
 route: counting identities against exact big-integer evaluation, the degree
@@ -7,13 +7,15 @@ exact solver runs and the extremal constructions, the treewidth formula
 against validated constructive decompositions, and the separator property
 against the exact solver plus exhaustive search.
 
-Suites return a SuiteReport; the CLI maps failures to a nonzero exit.
+A suite's only parameters are its `verify` options (identities: qmax;
+claims: qmax, nmax, out).  Suites return a SuiteReport; the CLI maps
+failures to a nonzero exit.
 """
 
 from __future__ import annotations
 
 import inspect
-import time
+import random
 from dataclasses import dataclass, field as dc_field
 
 from . import ekr, families, twsolve
@@ -101,15 +103,15 @@ def star_certificate(g) -> StarCertificate:
     return StarCertificate(pencil, d, validate(g, d), w, formula, verdict)
 
 
-def buildable_instances(qs=(2, 3), max_vertices: int = 3000) -> list[tuple[int, int, int]]:
-    """All (q, n, k) with k >= 2 and [n,k]_q <= max_vertices; each stands
-    for the graphs K_q(n,k,t), 1 <= t < k."""
+def buildable_instances() -> list[tuple[int, int, int]]:
+    """All (q, n, k) with q in {2, 3}, k >= 2 and [n,k]_q <= 3000; each
+    stands for the graphs K_q(n,k,t), 1 <= t < k."""
     out = []
-    for q in qs:
+    for q in (2, 3):
         k = 2
-        while gauss_at_most(k + 1, k, q, max_vertices):
+        while gauss_at_most(k + 1, k, q, 3000):
             n = k
-            while gauss_at_most(n, k, q, max_vertices):
+            while gauss_at_most(n, k, q, 3000):
                 out.append((q, n, k))
                 n += 1
             k += 1
@@ -130,35 +132,34 @@ def claims_params(qmax: int = 9, nmax: int = 40, kmax: int = 8):
     return out
 
 
-def suite_identities(qmax: int = 9, mmax: int = 12) -> SuiteReport:
+def suite_identities(qmax: int = 9) -> SuiteReport:
     """Gaussian-binomial recurrences and power bounds, exactly, for every
-    integer 2 <= q <= qmax and 1 <= i <= m <= mmax.  An empty grid is a
+    integer 2 <= q <= qmax and 1 <= i <= m <= 12.  An empty grid is a
     UsageError."""
-    if qmax < 2 or mmax < 1:
-        raise UsageError(f"verify identities: the grid q = 2..{qmax}, m = 1..{mmax} is empty")
+    if qmax < 2:
+        raise UsageError(f"verify identities: the grid q = 2..{qmax}, m = 1..12 is empty")
     rep = SuiteReport("identities")
     for q in range(2, qmax + 1):
-        for m in range(1, mmax + 1):
+        for m in range(1, 13):
             for i in range(1, m + 1):
                 rep.check(gauss_identities_hold(m, i, q),
                           f"recurrence identity fails at m={m} i={i} q={q}")
                 rep.check(gauss_bounds_hold(m, i, q),
                           f"power bounds fail at m={m} i={i} q={q}")
-    rep.info(f"identities+bounds exact on q=2..{qmax}, m<={mmax}: {rep.checks} checks")
+    rep.info(f"identities+bounds exact on q=2..{qmax}, m<=12: {rep.checks} checks")
     return rep
 
 
-def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8,
-                 out: str | None = None) -> SuiteReport:
+def suite_claims(qmax: int = 9, nmax: int = 40, out: str | None = None) -> SuiteReport:
     """Inequality sweep: the t-layer count exceeds alpha for n >= 2k; the
     pigeonhole bound holds in the treewidth-formula range; and
     Delta + alpha < |V| wherever alpha is defined.  With `out`, writes
     one qcount.sweep_records line per grid point to that path.  An empty
     grid is a UsageError, and with `out` counts too long to print a
     TooLargeError, both raised before `out` is opened."""
-    grid = claims_params(qmax, nmax, kmax)
+    grid = claims_params(qmax, nmax)
     if not grid:
-        raise UsageError(f"verify claims: the grid q <= {qmax}, k <= {kmax}, "
+        raise UsageError(f"verify claims: the grid q <= {qmax}, k <= 8, "
                          f"2k <= n <= {nmax} is empty")
     if out is not None:
         check_printable(*reversed(grid))  # largest first: a refusal comes at once
@@ -185,12 +186,12 @@ def suite_claims(qmax: int = 9, nmax: int = 40, kmax: int = 8,
     return rep
 
 
-def suite_degrees(qs=(2, 3), max_vertices: int = 3000) -> SuiteReport:
+def suite_degrees() -> SuiteReport:
     """Build every instance and compare each vertex's degree and full
     intersection-dimension histogram with the closed-form counts."""
     rep = SuiteReport("degrees")
-    for q, n, k in buildable_instances(qs, max_vertices):
-        graphs, hists = build_qkneser_all_t(n, k, q, limit=max_vertices)
+    for q, n, k in buildable_instances():
+        graphs, hists = build_qkneser_all_t(n, k, q)
         expected_hist = [intersect_count(n, k, k, m, q) for m in range(k + 1)]
         bad = next((u for u, h in enumerate(hists) if h != expected_hist), None)
         rep.check(bad is None,
@@ -205,15 +206,14 @@ def suite_degrees(qs=(2, 3), max_vertices: int = 3000) -> SuiteReport:
     return rep
 
 
-def suite_ekr(qs=(2, 3), max_vertices: int = 3000,
-              mis_time_budget: float = 600.0) -> SuiteReport:
+def suite_ekr() -> SuiteReport:
     """Extremal families have the formula sizes and are independent on all
     buildable instances; the exact solver reproduces alpha on the two
     pinned desk-scale q-Kneser graphs."""
     rep = SuiteReport("ekr")
-    instances = buildable_instances(qs, max_vertices)
+    instances = buildable_instances()
     for q, n, k in instances:
-        graphs, _ = build_qkneser_all_t(n, k, q, limit=max_vertices)
+        graphs, _ = build_qkneser_all_t(n, k, q)
         for t in range(1, k):
             g = graphs[t]
             pencil = ekr.point_pencil(g, unit_subspace(q, n, t))
@@ -232,7 +232,7 @@ def suite_ekr(qs=(2, 3), max_vertices: int = 3000,
     for n, expected in ((4, 7), (5, 15)):
         p = Params(n, 2, 1, 2)
         g = build_qkneser(p)
-        r = ekr.max_independent_set_exact(g, time_budget=mis_time_budget)
+        r = ekr.max_independent_set_exact(g)
         rep.check(r.exact and r.size == expected,
                   f"exact MIS on q=2 n={n} k=2 t=1 returned {r.size} "
                   f"(exact={r.exact}), expected {expected}")
@@ -258,16 +258,13 @@ def suite_td() -> SuiteReport:
     return rep
 
 
-def suite_separators(count: int = 50, seed: int = 20240801,
-                     time_budget: float = 300.0) -> SuiteReport:
+def suite_separators() -> SuiteReport:
     """For every corpus graph with exact treewidth w, a balanced separator
     of order <= w+1 exists: exhaustive search must find a witness whose
     parts satisfy the 1/3 - 2/3 size bounds with no crossing edge."""
     rep = SuiteReport("separators")
-    start = time.monotonic()
-    for name, g in corpus(count, seed):
-        remaining = max(5.0, time_budget - (time.monotonic() - start))
-        r = twsolve.treewidth_exact(g, time_budget=remaining)
+    for name, g in corpus():
+        r = twsolve.treewidth_exact(g)
         if r.status != twsolve.EXACT:
             rep.check(False, f"{name}: solver did not reach exactness")
             continue
@@ -292,20 +289,24 @@ def _separator_ok(g, witness) -> bool:
         and 3 * a.bit_count() <= 2 * r and 3 * b.bit_count() <= 2 * r
 
 
-def corpus(count: int = 50, seed: int = 20240801) -> list[tuple[str, "families.Graph"]]:
-    """The solver-validation corpus: complete graphs to K_12, trees up to 20
-    vertices, cycles, the 3x3 grid, Petersen, and seeded random graphs."""
-    graphs = []
-    for m in range(1, 13):
-        graphs.append((f"K_{m}", families.complete_graph(m)))
+def corpus() -> list[tuple[str, "families.Graph"]]:
+    """The solver-validation corpus of 73 graphs: complete graphs to K_12,
+    a path and three trees up to 20 vertices, cycles, the 3x3 grid,
+    Petersen, and 50 seeded random graphs of 5..9 vertices with mixed
+    densities."""
+    seed = 20240801
+    graphs = [(f"K_{m}", families.complete_graph(m)) for m in range(1, 13)]
     graphs.append(("P_20 (path)", families.path_graph(20)))
-    for m, s in ((10, 7), (15, 8), (20, 9)):
-        graphs.append((f"tree-{m}", families.random_tree(m, seed + s)))
-    for m in (4, 5, 6, 9, 12):
-        graphs.append((f"C_{m}", families.cycle_graph(m)))
-    graphs.append(("grid-3x3", families.grid_graph(3, 3)))
-    graphs.append(("petersen", families.petersen_graph()))
-    graphs.extend(families.solver_corpus(count, seed))
+    graphs += [(f"tree-{m}", families.random_tree(m, seed + s))
+               for m, s in ((10, 7), (15, 8), (20, 9))]
+    graphs += [(f"C_{m}", families.cycle_graph(m)) for m in (4, 5, 6, 9, 12)]
+    graphs += [("grid-3x3", families.grid_graph(3, 3)), ("petersen", families.petersen_graph())]
+    rng = random.Random(seed)
+    for i in range(50):
+        m = rng.randrange(5, 10)
+        p = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
+        graphs.append((f"random-{i}(n={m},p={p})",
+                       families.random_graph(m, p, rng.randrange(1 << 30))))
     return graphs
 
 

@@ -102,21 +102,23 @@ def test_criterion_03_intersection_count_oracle():
 
 def test_criterion_04_degree_formula_on_built_graphs():
     start = time.monotonic()
-    rep = suite_degrees(qs=(2, 3), max_vertices=3000)
+    rep = suite_degrees()
     elapsed = time.monotonic() - start
     _report(4, rep.ok, f"{rep.checks} degree/histogram checks across all "
                        f"buildable instances in {elapsed:.1f}s")
     assert rep.ok, rep.failures
+    assert rep.checks == 178
     assert elapsed < 300
 
 
 def test_criterion_05_ekr_alpha_and_families():
     start = time.monotonic()
-    rep = suite_ekr(qs=(2, 3), max_vertices=3000, mis_time_budget=600.0)
+    rep = suite_ekr()
     elapsed = time.monotonic() - start
     _report(5, rep.ok, f"{rep.checks} family/MIS checks in {elapsed:.1f}s; "
                        + "; ".join(l for l in rep.lines if "alpha" in l))
     assert rep.ok, rep.failures
+    assert rep.checks == 288
     assert elapsed < 1200
 
 
@@ -179,7 +181,8 @@ def test_criterion_08_claims_sweep():
 
 def test_criterion_09_solver_sanity():
     start = time.monotonic()
-    graphs = corpus(count=50)
+    graphs = corpus()
+    assert len(graphs) == 73
     for name, g in graphs:
         r = twsolve.treewidth_exact(g)
         assert r.status == twsolve.EXACT, name
@@ -203,7 +206,8 @@ def test_criterion_09_solver_sanity():
 
 def test_criterion_10_separator_property():
     start = time.monotonic()
-    graphs = corpus(count=50)
+    graphs = corpus()
+    assert len(graphs) == 73
     for name, g in graphs:
         w = twsolve.treewidth_exact(g)
         assert w.status == twsolve.EXACT, name

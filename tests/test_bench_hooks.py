@@ -1,0 +1,54 @@
+"""The benchmark's span hooks still fit the package.
+
+bench/spans.py wraps package functions by module and name and reads
+attributes of their results, so a rename or a reshaped result breaks a
+traced run (`bench/run.py --trace 1`) without failing any other test.
+These checks read bench/ and change nothing there.
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def _spans_module(monkeypatch):
+    # no bench/__pycache__: these checks leave bench/ as they found it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_target_resolves(monkeypatch):
+    spans = _spans_module(monkeypatch)
+    targets = [t[:2] for t in spans.TARGETS] + [t[:2] for t in spans.GENERATOR_TARGETS]
+    assert targets
+    for mod_name, attr in targets:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), (mod_name, attr)
+
+
+@pytest.mark.parametrize("argv, span", [
+    (["solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--task", "tw"],
+     "twsolve.treewidth_exact"),
+    (["decompose", "-q", "2", "-n", "4", "-k", "2", "-t", "1"], "td.validate"),
+    (["verify", "separators"], "verify.separators"),
+])
+def test_traced_command_exits_zero_and_records_its_span(tmp_path, argv, span):
+    env = {k: v for k, v in os.environ.items() if k != "QKNESER_OUT_DIR"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(BENCH / "launch.py"), str(out), *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert span in {s["name"] for s in json.loads(out.read_text())}

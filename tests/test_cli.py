@@ -147,6 +147,26 @@ def test_verify_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_suite_parameters_are_the_readme_options():
+    import inspect
+    import re
+
+    from qkneser.verify import SUITES
+
+    expected = {"identities": {"qmax"}, "claims": {"qmax", "nmax", "out"},
+                "degrees": set(), "ekr": set(), "td": set(), "separators": set()}
+    assert {name: set(inspect.signature(suite).parameters)
+            for name, suite in SUITES.items()} == expected
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| suite | options |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        suites, options = row.strip("|").split("|")
+        for name in re.findall(r"`(\w+)`", suites):
+            documented[name] = set(re.findall(r"`--(\w+)`", options))
+    assert documented == expected
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

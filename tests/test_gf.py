@@ -60,6 +60,13 @@ def test_factor_prime_power_is_fast_on_large_primes_and_powers():
     assert factor_prime_power(3**80) == (3, 80)
     # trial division took over a second on the first of these alone
     assert time.perf_counter() - start < 0.5
+    # 4,215 and 4,516 digits: a walk over every exponent took half a minute
+    # on each, and the second then failed to print q in its message
+    start = time.perf_counter()
+    assert factor_prime_power(2**14000) == (2, 14000)
+    with pytest.raises(NotPrimePowerError):
+        factor_prime_power(3 * 2**15000)
+    assert time.perf_counter() - start < 1
 
 
 def test_prime_powers_above_the_proven_bound_are_decided_by_their_base():
