@@ -12,6 +12,7 @@ from qkneser import (
     tw_formula_applies,
     tw_formula_cograssmann,
     tw_formula_qkneser,
+    tw_value,
 )
 
 print("Gaussian binomial [n,k]_q counts the k-subspaces of F_q^n:")
@@ -55,3 +56,11 @@ w = tw_formula_cograssmann(4, 2, 2)
 assert isinstance(w, Window)
 print(f"  tw(co-Grassmann q=2, n=4, k=2) in [{w.lower}, {w.upper}]"
       "   (see demos/03_exact_solvers.py: it is 27)")
+
+print()
+print("For n < 2k, U -> U^perp maps K_q(n,k,t) onto K_q(n, n-k, t-(2k-n)),")
+print("since dim(U^perp cap V^perp) = dim(U cap V) + n - 2k; both sides of a")
+print("dual pair get the same values:")
+for p in (Params(6, 4, 3, 2), Params(6, 2, 1, 2)):
+    print(f"  q={p.q} n={p.n} k={p.k} t={p.t}:  Delta = {degree_formula(p)},  "
+          f"alpha = {alpha_formula(p)},  tw = {tw_value(p)}")

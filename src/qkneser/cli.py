@@ -57,7 +57,7 @@ def cmd_params(args):
     report += [
         ("vertices", gauss(p.n, p.k, p.q)),
         ("delta", degree_formula(p)),
-        ("alpha", alpha_formula(p) if p.n >= 2 * p.k else "undefined"),
+        ("alpha", alpha_formula(p)),
         ("tw_formula_applies", tw_formula_applies(p)),
     ]
     value = tw_value(p)
@@ -87,13 +87,13 @@ def cmd_decompose(args):
     write_td(cert.decomposition, path)
     report += [
         ("vertices", cert.decomposition.n_vertices),
-        ("pencil_size", cert.pencil.bit_count()),
+        ("pencil_size", cert.family.bit_count()),
         ("width", cert.width),
         ("valid", cert.report.valid),
         ("width_matches_formula", cert.verdict),
         ("out", path),
     ]
-    return report, cert.report.valid and cert.verdict not in ("false", "outside_window")
+    return report, cert.report.valid and cert.verdict not in ("false", "refuted", "outside_window")
 
 
 def cmd_verify(args):

@@ -5,8 +5,8 @@ K_q(n,k,t).  The two extremal constructions are implemented directly:
 
 * point pencil: all k-subspaces containing a fixed t-subspace
   (size [n-t, k-t]_q, the independence number for n >= 2k);
-* nest family (n = 2k only): all k-subspaces of a fixed (n-t)-subspace
-  (size [n-t, k]_q = [n-t, k-t]_q, the other equality case).
+* nest family (n <= 2k): all k-subspaces of a fixed nest_dim-subspace
+  (the independence number for n < 2k; at n = 2k the other equality case).
 
 Vertex sets are bitmasks over the graph's vertex range.  The exact solver
 reduces maximum independent set to maximum clique on the complement graph
@@ -19,6 +19,7 @@ from __future__ import annotations
 from .cliques import CliqueResult, max_clique
 from .errors import DimMismatchError, NotIndependentError, OutOfRangeError
 from .graph import Graph, bits
+from .qcount import nest_dim
 from .subspace import Subspace
 
 
@@ -37,14 +38,14 @@ def point_pencil(g: Graph, t_space: Subspace) -> int:
 
 def nest_family(g: Graph, w_space: Subspace) -> int:
     """Bitmask of the vertices whose subspace lies inside the fixed
-    (n-t)-subspace; only defined when n = 2k (otherwise not extremal)."""
+    nest_dim-subspace; only defined when n <= 2k (otherwise not extremal)."""
     if g.labels is None or g.meta is None:
         raise OutOfRangeError("graph has no subspace labels")
     p = g.meta
-    if p.n != 2 * p.k:
-        raise OutOfRangeError(f"nest family needs n = 2k, got n={p.n} k={p.k}")
-    if w_space.k != p.n - p.t:
-        raise DimMismatchError(f"need a {p.n - p.t}-subspace, got dim {w_space.k}")
+    if p.n > 2 * p.k:
+        raise OutOfRangeError(f"nest family needs n <= 2k, got n={p.n} k={p.k}")
+    if w_space.k != nest_dim(p):
+        raise DimMismatchError(f"need a {nest_dim(p)}-subspace, got dim {w_space.k}")
     mask = 0
     for i, s in enumerate(g.labels):
         if w_space.contains(s):

@@ -16,11 +16,6 @@ from functools import lru_cache
 
 from .errors import NotPrimePowerError, TooLargeError, UnsupportedFieldError
 
-_PRIMES_TO_128 = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-    67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
-)
-
 # Monic irreducible moduli over Z_p, coefficient lists with the constant
 # term first (the x^e coefficient, always 1, is last).  Conway polynomials.
 _MODULI = {
@@ -43,7 +38,7 @@ _MODULI = {
 # every composite n < 3,317,044,064,679,887,385,961,981 fails the strong
 # probable-prime test to one of the prime bases up to 41 (Sorenson &
 # Webster, Math. Comp. 86, 2017)
-_MR_BASES = _PRIMES_TO_128[:13]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN = 3317044064679887385961981
 
 
@@ -74,8 +69,18 @@ def _is_prime(n: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
-    x = 1 << -(-n.bit_length() // k)
+    """floor(n^(1/k)) for n >= 1.  The root has m = ceil(b/k) bits, b the
+    bit length of n.  For k*k > b they are set one at a time from the top
+    (m powers of k); otherwise integer Newton steps go down from 2^m, each
+    shrinking x by about a factor 1 - 1/k until it is near the root."""
+    m = -(-n.bit_length() // k)
+    if k * k > n.bit_length():
+        x = 0
+        for i in reversed(range(m)):
+            if (x | 1 << i) ** k <= n:
+                x |= 1 << i
+        return x
+    x = 1 << m
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -86,10 +91,11 @@ def _iroot(n: int, k: int) -> int:
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, or raise NotPrimePowerError.  A base p
     of _MR_BASES that divides q is its only candidate: dividing p out must
-    leave 1.  Otherwise every prime factor is at least 43, and each e from
-    1 up is tried once until the e-th root drops below 43: an integer
-    root, a power check and a primality test.  A root whose primality
-    _is_prime cannot prove raises TooLargeError.  No message prints q."""
+    leave 1.  Otherwise every prime factor is at least 43.  Then q is
+    replaced by its exact ell-th root, and e multiplied by ell, for prime
+    ell from 2 up, while that root is at least 43; what is left must be
+    prime.  A prime that _is_prime cannot prove raises TooLargeError.  No
+    message prints q."""
     if q < 2:
         raise NotPrimePowerError("q must be >= 2")
     for p in _MR_BASES:
@@ -101,12 +107,16 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             if q == 1:
                 return p, e
             raise NotPrimePowerError("q is not a prime power")
-    for e in range(1, q.bit_length() + 1):
-        p = _iroot(q, e)
-        if p <= _MR_BASES[-1]:
-            break
-        if p ** e == q and _is_prime(p):
-            return p, e
+    e, ell = 1, 2
+    while (r := _iroot(q, ell)) > _MR_BASES[-1]:
+        if r**ell == q:
+            q, e = r, e * ell  # r may be an ell-th power in turn
+            continue
+        ell += 1
+        while not _is_prime(ell):
+            ell += 1
+    if _is_prime(q):
+        return q, e
     raise NotPrimePowerError("q is not a prime power")
 
 

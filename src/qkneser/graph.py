@@ -244,8 +244,7 @@ def write_gr(g: Graph, path) -> None:
         lines.append(f"c q={p.q} n={p.n} k={p.k} t={p.t}")
         lines.append(f"c vertices={gauss(p.n, p.k, p.q)}")
         lines.append(f"c delta={degree_formula(p)}")
-        if p.n >= 2 * p.k:
-            lines.append(f"c alpha={alpha_formula(p)}")
+        lines.append(f"c alpha={alpha_formula(p)}")
         if tw_formula_applies(p):
             lines.append(f"c tw={tw_formula_qkneser(p)}")
     lines.append(f"p tw {g.n_vertices} {edge_count(g)}")

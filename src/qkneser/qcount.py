@@ -162,14 +162,18 @@ def degree_formula(p: Params) -> int:
     return sum(intersect_count(p.n, p.k, p.k, i, p.q) for i in range(p.t))
 
 
-def alpha_formula(p: Params) -> int:
-    """Independence number of K_q(n,k,t) for n >= 2k:  [n-t, k-t]_q.
+def nest_dim(p: Params) -> int:
+    """min(n, 2k-t): for n < 2k the k-subspaces of a space of this dimension
+    are a largest t-intersecting family (Frankl & Wilson, JCTA 43, 1986)."""
+    return min(p.n, 2 * p.k - p.t)
 
-    This is the extremal size of a t-intersecting family of k-subspaces;
-    for n < 2k no value is asserted and OutOfRangeError is raised.
-    """
+
+def alpha_formula(p: Params) -> int:
+    """Independence number of K_q(n,k,t), the size of a largest
+    t-intersecting family of k-subspaces: [n-t, k-t]_q (a point pencil)
+    for n >= 2k, [nest_dim(p), k]_q for n < 2k."""
     if p.n < 2 * p.k:
-        raise OutOfRangeError(f"alpha formula needs n >= 2k, got n={p.n} k={p.k}")
+        return gauss(nest_dim(p), p.k, p.q)
     return gauss(p.n - p.t, p.k - p.t, p.q)
 
 
@@ -193,7 +197,8 @@ def tw_formula_qkneser(p: Params) -> int:
 
 def tw_formula_cograssmann(n: int, k: int, q: int):
     """Treewidth of the complement of the Grassmann graph G_q(n,k), i.e.
-    of K_q(n,k,k-1), for n >= k+2 and k >= 2.
+    of K_q(n,k,k-1), for 2 <= min(k, n-k); G_q(n,k) = G_q(n,n-k), so k is
+    taken as min(k, n-k) first.
 
     Returns the exact value [n,k] - [n-k+1, 1] - 1 except at (k,n) = (2,4),
     where only the bracket
@@ -204,19 +209,23 @@ def tw_formula_cograssmann(n: int, k: int, q: int):
     """
     if q < 2:
         raise BadQError(f"q must be >= 2, got {q}")
-    if k < 2:
-        raise OutOfRangeError(f"need k >= 2, got k={k}")
-    if n < k + 2:
-        raise OutOfRangeError(f"need n >= k+2, got n={n} k={k}")
+    if min(k, n - k) < 2:
+        raise OutOfRangeError(f"need 2 <= k <= n-2, got n={n} k={k}")
+    k = min(k, n - k)
     if k == 2 and n == 4:
         return Window(q**4 + q**2 - 1, q**4 + q**3 + q**2 - 1)
     return gauss(n, k, q) - gauss(n - k + 1, 1, q) - 1
 
 
 def tw_value(p: Params) -> int | Window | None:
-    """What the formulas say about tw(K_q(n,k,t)): the q-Kneser value in
-    its range, else the complement-Grassmann value or Window when t = k-1
-    and n >= k+2, else None (no formula applies)."""
+    """What the formulas say about tw(K_q(n,k,t)), n < 2k taken first to
+    K_q(n, n-k, t-(2k-n)) by U -> U^perp (0 if t <= 2k-n: no edges): the
+    q-Kneser value in its range, else the complement-Grassmann value or
+    Window when t = k-1 and n >= k+2, else None (no formula applies)."""
+    if p.n < 2 * p.k:  # dim(U^perp cap V^perp) = dim(U cap V) + n - 2k
+        if p.t <= 2 * p.k - p.n:
+            return 0
+        p = Params(p.n, p.n - p.k, p.t - (2 * p.k - p.n), p.q)
     if tw_formula_applies(p):
         return tw_formula_qkneser(p)
     if p.t == p.k - 1 and p.n >= p.k + 2:
@@ -244,8 +253,8 @@ def pigeonhole_bound_holds(p: Params) -> bool:
 
 
 def delta_alpha_below_vertex_count(p: Params) -> bool:
-    """True iff degree_formula(p) + alpha_formula(p) < [n,k]_q (defined for
-    n >= 2k); the comparison that drives the constructive upper bound."""
+    """True iff degree_formula(p) + alpha_formula(p) < [n,k]_q; the
+    comparison that drives the constructive upper bound."""
     return degree_formula(p) + alpha_formula(p) < gauss(p.n, p.k, p.q)
 
 
@@ -255,8 +264,7 @@ def sweep_records(params_iter) -> "list[str]":
         q,n,k,t,<layer bound>,<pigeonhole bound>,delta,alpha,tw
 
     Booleans are lowercase true/false; counts are decimal strings; the tw
-    field is "-" when the formula hypothesis fails (alpha requires n >= 2k,
-    which every sweep grid satisfies).
+    field is "-" when the q-Kneser formula hypothesis fails.
     """
     lines = []
     for p in params_iter:

@@ -53,6 +53,8 @@ class Subspace:
         """True iff other is a subspace of self: each basis row of other
         reduces to zero against self's RREF rows."""
         _check_compatible(self, other)
+        if self.k == self.n:  # F_q^n contains every subspace
+            return True
         if other.k > self.k:
             return False
         for y in other.basis:

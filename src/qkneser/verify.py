@@ -34,6 +34,7 @@ from .qcount import (
     gauss_identities_hold,
     intersect_count,
     layer_exceeds_alpha,
+    nest_dim,
     pigeonhole_bound_holds,
     sweep_records,
     tw_formula_applies,
@@ -74,33 +75,35 @@ def unit_subspace(q: int, n: int, dim: int):
 @dataclass
 class StarCertificate:
     """The star decomposition of a built K_q(n,k,t) over the point pencil
-    of span{e_1, ..., e_t}, its validation and its width, set against the
-    formula value qcount.tw_value."""
+    of span{e_1..e_t} (n >= 2k) or the nest of span{e_1..e_m}, m = nest_dim
+    (n < 2k), its validation and its width, against qcount.tw_value."""
 
-    pencil: int
+    family: int
     decomposition: TreeDecomposition
     report: ValidationReport
     width: int
     formula: int | Window | None
-    # true/false against an exact value, within_window/outside_window
-    # against a Window, undefined where no formula applies
+    # true/false against an exact value (refuted: validated and below it),
+    # within_window/outside_window against a Window, undefined where no
+    # formula applies
     verdict: str
 
 
 def star_certificate(g) -> StarCertificate:
-    """Pencil, star decomposition, validation and width for a graph built
+    """Family, star decomposition, validation and width for a graph built
     from Params (g.meta)."""
     p = g.meta
-    pencil = ekr.point_pencil(g, unit_subspace(p.q, p.n, p.t))
-    d = star_decomposition(g, pencil)
-    w, formula = width(d), tw_value(p)
+    family = (ekr.nest_family(g, unit_subspace(p.q, p.n, nest_dim(p))) if p.n < 2 * p.k
+              else ekr.point_pencil(g, unit_subspace(p.q, p.n, p.t)))
+    d = star_decomposition(g, family)
+    w, formula, report = width(d), tw_value(p), validate(g, d)
     if formula is None:
         verdict = "undefined"
     elif isinstance(formula, Window):
         verdict = "within_window" if w in formula else "outside_window"
     else:
-        verdict = "true" if w == formula else "false"
-    return StarCertificate(pencil, d, validate(g, d), w, formula, verdict)
+        verdict = "true" if w == formula else "refuted" if w < formula and report.valid else "false"
+    return StarCertificate(family, d, report, w, formula, verdict)
 
 
 def buildable_instances() -> list[tuple[int, int, int]]:
@@ -153,7 +156,7 @@ def suite_identities(qmax: int = 9) -> SuiteReport:
 def suite_claims(qmax: int = 9, nmax: int = 40, out: str | None = None) -> SuiteReport:
     """Inequality sweep: the t-layer count exceeds alpha for n >= 2k; the
     pigeonhole bound holds in the treewidth-formula range; and
-    Delta + alpha < |V| wherever alpha is defined.  With `out`, writes
+    Delta + alpha < |V| at every grid point.  With `out`, writes
     one qcount.sweep_records line per grid point to that path.  An empty
     grid is a UsageError, and with `out` counts too long to print a
     TooLargeError, both raised before `out` is opened."""
@@ -242,12 +245,14 @@ def suite_ekr() -> SuiteReport:
 
 
 def suite_td() -> SuiteReport:
-    """Constructive treewidth upper bounds: star decompositions from point
-    pencils achieve the formula width and pass the validator."""
+    """Constructive treewidth upper bounds: star decompositions over the
+    families of star_certificate (a point pencil for n >= 2k, a nest for
+    n < 2k) achieve the formula width and pass the validator."""
     rep = SuiteReport("td")
     for name, g in (
         ("q-Kneser q=2 n=7 k=2 t=1", build_qkneser(Params(7, 2, 1, 2))),
         ("complement Grassmann q=2 n=5 k=2", build_cograssmann(5, 2, 2)),
+        ("complement Grassmann q=2 n=5 k=3", build_cograssmann(5, 3, 2)),
     ):
         cert = star_certificate(g)
         rep.check(cert.report.valid, f"{name}: decomposition invalid: {cert.report}")

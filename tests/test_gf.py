@@ -5,10 +5,11 @@ import pytest
 
 from bruteforce import prime_power_by_trial_division
 from qkneser.errors import NotPrimePowerError, TooLargeError, UnsupportedFieldError
-from qkneser.gf import _PRIMES_TO_128, GF, factor_prime_power, make_field
+from qkneser.gf import GF, _iroot, factor_prime_power, make_field
 
 SMALL_SUPPORTED = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 LARGE_SUPPORTED = [37, 49, 64, 81, 101, 121, 125, 127, 128]
+PRIMES_TO_128 = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,34 @@ def test_factor_prime_power_is_fast_on_large_primes_and_powers():
     with pytest.raises(NotPrimePowerError):
         factor_prime_power(3 * 2**15000)
     assert time.perf_counter() - start < 1
+
+
+def test_factor_prime_power_is_fast_without_a_prime_factor_up_to_41():
+    # every prime factor is at least 43, so only the root search decides;
+    # a walk over every exponent took about 30 s on the first
+    start = time.perf_counter()
+    assert factor_prime_power(43**2600) == (43, 2600)
+    assert factor_prime_power(47**210) == (47, 210)  # 210 = 2*3*5*7
+    with pytest.raises(NotPrimePowerError) as info:
+        factor_prime_power(43**600 * 47)
+    assert time.perf_counter() - start < 1
+    assert "43" not in str(info.value)
+
+
+def test_integer_root_is_the_floor_root_on_both_paths():
+    # k*k > bit_length(n) sets the root's bits from the top; the rest take
+    # Newton steps; both must give r with r^k <= n < (r+1)^k
+    rng = random.Random(20261019)
+    paths = set()
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randrange(1, 4000)) | 1
+        k = rng.randrange(1, 300)
+        r = _iroot(n, k)
+        assert r**k <= n < (r + 1) ** k, (n, k)
+        paths.add(k * k > n.bit_length())
+    for r, k in ((43, 2600), (2**61 - 1, 2), (3, 500), (10**6 + 3, 7)):
+        assert _iroot(r**k, k) == r and _iroot(r**k - 1, k) == r - 1
+    assert paths == {True, False}
 
 
 def test_prime_powers_above_the_proven_bound_are_decided_by_their_base():
@@ -135,7 +164,7 @@ def test_gf5_inverse():
     assert make_field(5).inv(2) == 3
 
 
-@pytest.mark.parametrize("p", _PRIMES_TO_128)
+@pytest.mark.parametrize("p", PRIMES_TO_128)
 def test_prime_field_tables_are_integers_mod_p(p):
     # prime fields go through the extension-field table builder with the
     # degree-1 modulus x; its tables must be the plain residues mod p

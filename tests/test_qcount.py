@@ -20,6 +20,7 @@ from qkneser.qcount import (
     tw_formula_applies,
     tw_formula_cograssmann,
     tw_formula_qkneser,
+    tw_value,
 )
 
 
@@ -170,8 +171,7 @@ def test_degree_formula_examples():
 def test_alpha_formula_examples():
     assert alpha_formula(Params(4, 2, 1, 2)) == 7
     assert alpha_formula(Params(7, 2, 1, 2)) == 63
-    with pytest.raises(OutOfRangeError):
-        alpha_formula(Params(3, 2, 1, 2))  # n < 2k: no value asserted
+    assert alpha_formula(Params(3, 2, 1, 2)) == 7  # edgeless: all of V = [3,2]_2
 
 
 def test_tw_formula_range_predicate():
@@ -206,6 +206,15 @@ def test_tw_cograssmann_examples():
         tw_formula_cograssmann(4, 3, 2)  # n < k + 2
     with pytest.raises(OutOfRangeError):
         tw_formula_cograssmann(4, 1, 2)
+
+
+def test_tw_cograssmann_is_symmetric_in_k_and_n_minus_k():
+    # G_q(n,k) = G_q(n,n-k): direct callers get the value tw_value gives
+    for n, k, q in ((5, 3, 2), (6, 4, 2), (5, 3, 3), (7, 5, 2), (7, 4, 2)):
+        assert tw_formula_cograssmann(n, k, q) == tw_formula_cograssmann(n, n - k, q) \
+            == tw_value(Params(n, k, k - 1, q))
+    assert tw_formula_cograssmann(5, 3, 2) == 139
+    assert tw_formula_cograssmann(4, 2, 2) == Window(19, 27)
 
 
 def test_tw_cograssmann_open_window_at_n4_k2():

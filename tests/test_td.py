@@ -4,10 +4,11 @@ import tracemalloc
 import pytest
 
 from bruteforce import decomposition_witnesses, uncovered_edges
+from qkneser.cli import main
 from qkneser.ekr import point_pencil
 from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError, TooLargeError
 from qkneser.families import cycle_graph, path_graph, random_graph
-from qkneser.graph import VERTEX_LIMIT, Graph, build_qkneser
+from qkneser.graph import VERTEX_LIMIT, Graph, build_qkneser, build_qkneser_all_t
 from qkneser.qcount import Params, tw_value
 from qkneser.td import (
     TreeDecomposition,
@@ -18,7 +19,7 @@ from qkneser.td import (
     write_td,
 )
 from qkneser.twsolve import decomposition_from_order
-from qkneser.verify import star_certificate, suite_td, unit_subspace
+from qkneser.verify import buildable_instances, star_certificate, suite_td, unit_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +178,48 @@ def test_star_width_monotone_under_smaller_independent_set():
 @pytest.mark.parametrize("params, width_, verdict", [
     (Params(5, 2, 1, 2), 139, "true"),            # complement Grassmann formula
     (Params(4, 2, 1, 2), 27, "within_window"),    # the open q=2 window [19, 27]
-    # no formula applies; hyperplanes of F_2^4 meet in a plane, so the
-    # graph is edgeless and the star's center holds the 8 vertices off the pencil
-    (Params(4, 3, 1, 2), 7, "undefined"),
+    # hyperplanes of F_2^4 meet in a plane, so the graph is edgeless: the
+    # nest is all 15 vertices, the center bag is empty and tw = 0
+    (Params(4, 3, 1, 2), 0, "true"),
 ])
 def test_star_certificate_verdicts(params, width_, verdict):
     cert = star_certificate(build_qkneser(params))
     assert cert.report.valid
     assert (cert.width, cert.verdict) == (width_, verdict)
     assert cert.formula == tw_value(params)
-    assert cert.pencil.bit_count() == len(cert.decomposition.bags) - 1
+    assert cert.family.bit_count() == len(cert.decomposition.bags) - 1
+
+
+def test_star_certificate_on_every_buildable_row():
+    verdicts = {}
+    for q, n, k in buildable_instances():
+        graphs, _ = build_qkneser_all_t(n, k, q)
+        for t, g in graphs.items():
+            cert = star_certificate(g)
+            assert cert.report.valid, g.meta
+            verdicts[cert.verdict] = verdicts.get(cert.verdict, 0) + 1
+    # the two within_window rows are K_2(4,2,1) and K_3(4,2,1); the one
+    # undefined row is K_2(6,3,1)
+    assert verdicts == {"true": 136, "within_window": 2, "undefined": 1}
+
+
+def test_decompose_refutes_a_formula_above_the_validated_width(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("qkneser.verify.tw_value", lambda p: 140)
+    code = main(["decompose", "-q", "2", "-n", "5", "-k", "3", "-t", "2",
+                 "--out", str(tmp_path / "d.td")])
+    out = capsys.readouterr().out
+    assert "width=139\n" in out and "valid=true\n" in out
+    assert "width_matches_formula=refuted\n" in out
+    assert code == 1
 
 
 def test_suite_td_checks_and_lines():
     rep = suite_td()
-    assert rep.ok and rep.checks == 4
+    assert rep.ok and rep.checks == 6
     assert rep.lines == [
         "q-Kneser q=2 n=7 k=2 t=1: width 2603 = formula, validator passed (64 bags)",
         "complement Grassmann q=2 n=5 k=2: width 139 = formula, validator passed (16 bags)",
+        "complement Grassmann q=2 n=5 k=3: width 139 = formula, validator passed (16 bags)",
     ]
 
 
