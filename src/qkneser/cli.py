@@ -24,7 +24,7 @@ from .errors import MalformedTreeError, QKneserError, TooLargeError, UsageError
 from .gf import factor_prime_power
 from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
 from .qcount import (Params, Window, alpha_formula, check_printable, degree_formula,
-                     tw_formula_applies, tw_value)
+                     qkneser_tw, tw_value)
 from .td import validate, width, write_td
 from .verify import SUITES, run_suite, star_certificate
 
@@ -58,7 +58,7 @@ def cmd_params(args):
         ("vertices", gauss(p.n, p.k, p.q)),
         ("delta", degree_formula(p)),
         ("alpha", alpha_formula(p)),
-        ("tw_formula_applies", tw_formula_applies(p)),
+        ("tw_formula_applies", qkneser_tw(p) is not None),
     ]
     value = tw_value(p)
     if isinstance(value, Window):

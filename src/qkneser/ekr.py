@@ -8,6 +8,10 @@ K_q(n,k,t).  The two extremal constructions are implemented directly:
 * nest family (n <= 2k): all k-subspaces of a fixed nest_dim-subspace
   (the independence number for n < 2k; at n = 2k the other equality case).
 
+Both families test each label by row reduction (Subspace.contains), not
+through the keyed pencils of graph._meet_layers, so that the independence
+of a pencil in the built graph checks the builder by a second route.
+
 Vertex sets are bitmasks over the graph's vertex range.  The exact solver
 reduces maximum independent set to maximum clique on the complement graph
 and returns the clique engine's CliqueResult after checking that its

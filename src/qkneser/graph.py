@@ -12,13 +12,15 @@ point pencils of the t-subspaces of u (subspace.span_frames; Subspace.perp
 when 2k > n).  That costs V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q
 on the complement side) instead of one intersection test per vertex pair.
 
-bits() is the one way to walk a packed row: it returns the set bits of a
-mask in ascending order.
+_flags is the one way to walk a packed row: one byte per bit, 1 where the
+bit is set, as itertools.compress selectors.  bits() selects the indices
+of the set bits with it, ascending.
 
-Includes a reader/writer for the PACE 2017 .gr format.  write_gr joins each
-row's precomputed "<v>\n" strings behind its "<u> " head, with no
-formatting per edge.  read_gr reads UTF-8 text in batches of _BATCH_HINT
-characters, each completed to a line end.  After the header, a batch goes
+Includes a reader/writer for the PACE 2017 .gr format.  write_gr selects
+each row's precomputed "<v>\n" strings with _flags and joins them behind
+its "<u> " head, with no formatting or index list per edge.  read_gr
+reads UTF-8 text in batches of _BATCH_HINT characters, each completed to
+a line end.  After the header, a batch goes
 to the rows in bulk when deleting its ASCII digits leaves exactly " \n"
 per line, its one split gives two ids per line, each id is a key of the
 {"1": 0, ..., str(n): n - 1} dict (canonical and in range) and no line is
@@ -46,8 +48,8 @@ from operator import eq
 
 from .errors import MalformedFileError, TooLargeError
 from .gf import make_field
-from .qcount import Params, alpha_formula, degree_formula, gauss, tw_formula_applies, tw_formula_qkneser
-from .subspace import Subspace, enumerate_subspaces, span_frames
+from .qcount import Params, alpha_formula, degree_formula, gauss, qkneser_tw
+from .subspace import Subspace, enumerate_subspaces, lanes, span_frames
 
 VERTEX_LIMIT = 5000
 
@@ -59,9 +61,15 @@ _NO_DIGITS = str.maketrans("", "", "0123456789")
 _ONE_FLAGS = bytes(c == ord("1") for c in range(256))
 
 
+def _flags(mask: int) -> bytes:
+    """Byte i is 1 iff bit i of the non-negative mask is set: selectors
+    for itertools.compress, as long as mask.bit_length()."""
+    return bin(mask)[:1:-1].encode().translate(_ONE_FLAGS)
+
+
 def bits(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative mask, ascending."""
-    flags = bin(mask)[:1:-1].encode().translate(_ONE_FLAGS)
+    flags = _flags(mask)
     return list(compress(range(len(flags)), flags))
 
 
@@ -152,7 +160,8 @@ def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
     Two subspaces meet in dimension >= d iff they share a d-subspace T, so
     ge_d[u] is the union of the pencils pencil[T] = {v : T in label_v} over
     the d-subspaces T of label_u.  subspace.span_frames gives each T's RREF
-    basis as positions in U's span, so its rows are T's canonical key.
+    basis as positions in U's span, so its packed rows are T's canonical
+    key.
 
     When 2k > n the work moves to the complements (Subspace.perp), of the
     smaller dimension n-k: dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
@@ -164,30 +173,34 @@ def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
     keyed = [d for d in dims if d > shift]
     if not keyed:
         return layers
-    frames = [span_frames(field, k - shift, d - shift) for d in keyed]
+    # a d-subspace's key is one int, its d packed RREF rows side by side,
+    # row j shifted by j * bits (for d = 1 the row itself); keys of
+    # different d lie in disjoint ranges, since every row is nonzero.  A
+    # frame is kept as the position of row 0 and (position, shift) pairs
+    bits = lanes(field, n).bits
+    frames = [[(fr[0], tuple((i, j * bits) for j, i in enumerate(fr) if j))
+               for fr in span_frames(field, k - shift, d - shift)] for d in keyed]
     spaces = labels if shift == 0 else [s.perp() for s in labels]
-    key_ids: dict[tuple, int] = {}
-    pencils: list[int] = []
-    members = [[] for _ in keyed]  # members[i][u]: pencil ids of u's subspaces
+    pencils: dict[int, int] = {}  # key -> bitmask of the spaces holding it
+    members = [[] for _ in keyed]  # members[i][u]: keys of u's subspaces
     for u, s in enumerate(spaces):
         span = list(s.vectors())
         bit = 1 << u
         for layer_frames, layer_members in zip(frames, members):
-            ids = []
-            for fr in layer_frames:
-                j = key_ids.setdefault(tuple([span[i] for i in fr]), len(pencils))
-                if j == len(pencils):
-                    pencils.append(bit)
-                else:
-                    pencils[j] |= bit
-                ids.append(j)
-            layer_members.append(ids)
+            keys = []
+            for first, rest in layer_frames:
+                key = span[first]
+                for i, at in rest:
+                    key |= span[i] << at
+                pencils[key] = pencils.get(key, 0) | bit
+                keys.append(key)
+            layer_members.append(keys)
     for d, layer_members in zip(keyed, members):
         ge = []
-        for ids in layer_members:
+        for keys in layer_members:
             acc = 0
-            for j in ids:
-                acc |= pencils[j]
+            for key in keys:
+                acc |= pencils[key]
             ge.append(acc)
         layers[d] = ge
     return layers
@@ -245,17 +258,16 @@ def write_gr(g: Graph, path) -> None:
         lines.append(f"c vertices={gauss(p.n, p.k, p.q)}")
         lines.append(f"c delta={degree_formula(p)}")
         lines.append(f"c alpha={alpha_formula(p)}")
-        if tw_formula_applies(p):
-            lines.append(f"c tw={tw_formula_qkneser(p)}")
+        if (tw := qkneser_tw(p)) is not None:
+            lines.append(f"c tw={tw}")
     lines.append(f"p tw {g.n_vertices} {edge_count(g)}")
     ids = [f"{v + 1}\n" for v in range(g.n_vertices)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         for u, row in enumerate(g.rows):
-            later = bits(row >> (u + 1))
-            if later:
-                head, tail = f"{u + 1} ", ids[u + 1:]
-                fh.write(head + head.join(map(tail.__getitem__, later)))
+            if later := row >> (u + 1):
+                head = f"{u + 1} "
+                fh.write(head + head.join(compress(ids[u + 1:], _flags(later))))
 
 
 def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:

@@ -217,15 +217,33 @@ def tw_formula_cograssmann(n: int, k: int, q: int):
     return gauss(n, k, q) - gauss(n - k + 1, 1, q) - 1
 
 
+def dual_form(p: Params) -> Params | None:
+    """The parameters the treewidth formulas are read at: p for n >= 2k;
+    for n < 2k, K_q(n, n-k, t-(2k-n)), onto which U -> U^perp maps
+    K_q(n,k,t) since dim(U^perp cap V^perp) = dim(U cap V) + n - 2k, or
+    None when t <= 2k-n (every pair meets in dimension >= t: no edges)."""
+    if p.n >= 2 * p.k:
+        return p
+    if p.t <= 2 * p.k - p.n:
+        return None
+    return Params(p.n, p.n - p.k, p.t - (2 * p.k - p.n), p.q)
+
+
+def qkneser_tw(p: Params) -> int | None:
+    """The q-Kneser treewidth formula read at dual_form(p), or None when
+    it does not apply there."""
+    d = dual_form(p)
+    return tw_formula_qkneser(d) if d is not None and tw_formula_applies(d) else None
+
+
 def tw_value(p: Params) -> int | Window | None:
-    """What the formulas say about tw(K_q(n,k,t)), n < 2k taken first to
-    K_q(n, n-k, t-(2k-n)) by U -> U^perp (0 if t <= 2k-n: no edges): the
-    q-Kneser value in its range, else the complement-Grassmann value or
-    Window when t = k-1 and n >= k+2, else None (no formula applies)."""
-    if p.n < 2 * p.k:  # dim(U^perp cap V^perp) = dim(U cap V) + n - 2k
-        if p.t <= 2 * p.k - p.n:
-            return 0
-        p = Params(p.n, p.n - p.k, p.t - (2 * p.k - p.n), p.q)
+    """What the formulas say about tw(K_q(n,k,t)), read at dual_form(p) (0
+    when that is None: no edges): the q-Kneser value in its range, else the
+    complement-Grassmann value or Window when t = k-1 and n >= k+2, else
+    None (no formula applies)."""
+    p = dual_form(p)
+    if p is None:
+        return 0
     if tw_formula_applies(p):
         return tw_formula_qkneser(p)
     if p.t == p.k - 1 and p.n >= p.k + 2:
@@ -264,7 +282,7 @@ def sweep_records(params_iter) -> "list[str]":
         q,n,k,t,<layer bound>,<pigeonhole bound>,delta,alpha,tw
 
     Booleans are lowercase true/false; counts are decimal strings; the tw
-    field is "-" when the q-Kneser formula hypothesis fails.
+    field is qkneser_tw(p), "-" when the q-Kneser formula does not apply.
     """
     lines = []
     for p in params_iter:
@@ -272,6 +290,7 @@ def sweep_records(params_iter) -> "list[str]":
         c2 = "true" if pigeonhole_bound_holds(p) else "false"
         delta = degree_formula(p)
         alpha = alpha_formula(p)
-        tw = str(tw_formula_qkneser(p)) if tw_formula_applies(p) else "-"
+        tw = qkneser_tw(p)
+        tw = "-" if tw is None else tw
         lines.append(f"{p.q},{p.n},{p.k},{p.t},{c1},{c2},{delta},{alpha},{tw}")
     return lines

@@ -1,15 +1,38 @@
 """Canonical subspaces of F_q^n, their algebra and exhaustive enumeration.
 
 A k-subspace is represented by its reduced row echelon form (RREF) basis,
-which is unique, so two Subspace values are equal iff their basis matrices
-are identical.  Enumeration runs over pivot-column patterns in lexicographic
+which is unique, so two Subspace values are equal iff their RREF rows are
+identical.  Enumeration runs over pivot-column patterns in lexicographic
 order with the free entries counted in base q, which is linear in the output
 size and gives the package's canonical vertex numbering.
 
+Vectors are packed ints (SWAR lanes; Warren, Hacker's Delight, 2nd ed.,
+ch. 2).  For q = p^e, base-p digit j of coordinate i sits in lane i*e + j,
+w bits wide, so coordinate i takes bits [i*e*w, (i+1)*e*w):
+
+* p = 2: w = 1, and a vector is the concatenation of its coordinates'
+  e-bit codes.  Addition is a ^ b.
+* odd p: w = p.bit_length() + 1, one guard bit per lane.  With K holding
+  2^(w-1) - p and H the top bit in every lane, a + b is
+  s - (((s + K) & H) >> (w-1)) * p for s = a + b: lane sums lie in
+  [0, 2p-2] and never carry into the next lane, and s + K sets a lane's
+  top bit exactly where its sum is >= p.  a - b is the same rule on
+  s = a + P - b, P holding p in every lane.
+
+Scaling a vector by c goes through Lanes.scale, one rule for every q:
+bit b of digit j of each coordinate, moved to the coordinate's bottom bit,
+is a bit plane, and c * x is the lane sum over the planes of plane * (the
+code of c * 2^b * x^j), with no carries since a plane has at most one bit
+per coordinate and a code fits in one.  That is e * (p-1).bit_length()
+products per scaling, and no field table is read per coordinate.
+Lanes(field, n) holds the constants of one layout; lanes() keeps one per
+(q, n).
+
 All row reduction goes through one kernel, _reduce, which contains() runs
-on each basis row and _rref (behind canonicalize and dim_sum) on each row
-it adds.  Subspace.perp() and span_frames() are the rest of the subspace
-algebra that graph.py needs.
+on each row of the other space and _rref (behind canonicalize, dim_sum and
+perp) on each row it adds.  Subspace.basis, the rows as coordinate tuples,
+is a view computed on demand for repr, sort_key and callers that read
+coordinates.
 """
 
 from __future__ import annotations
@@ -17,7 +40,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import getitem, index
+from operator import index, xor
 
 from .errors import AmbientMismatchError, EmptyMatrixError, OutOfRangeError, TooLargeError
 from .gf import GF
@@ -26,11 +49,92 @@ from .qcount import gauss_at_most
 ENUMERATION_LIMIT = 10_000_000
 
 
+class Lanes:
+    """The packing of F_q^n into ints, lanes w bits wide: cw = e*w bits
+    of one coordinate, bits = n*cw those of a vector; code[a] is the lanes
+    of element a inside one coordinate and value[x] the element whose code
+    is x.  add, sub and scale act on whole vectors."""
+
+    __slots__ = ("field", "n", "cw", "cmask", "bits", "code", "value", "add", "sub",
+                 "bottom", "planes")
+
+    def __init__(self, field: GF, n: int):
+        p, e = field.p, field.e
+        w = 1 if p == 2 else p.bit_length() + 1
+        self.field, self.n = field, n
+        self.cw = cw = e * w
+        self.cmask = (1 << cw) - 1
+        self.bits = n * cw
+        self.code = [sum(d << j * w for j, d in enumerate(field.coeffs(a))) for a in field.elements]
+        self.value = [0] * (1 << cw)
+        for a, x in enumerate(self.code):
+            self.value[x] = a
+        # scale: plane (j, b) of x holds bit b of digit j of each coordinate
+        # at the coordinate's bottom bit; times the code of c * 2^b * x^j it
+        # is c times that part of x
+        self.bottom = ((1 << self.bits) - 1) // ((1 << cw) - 1)
+        parts = [(j * w + b, (2**b % p) * p**j)
+                 for j in range(e) for b in range((p - 1).bit_length())]
+        self.planes = [[(at, self.code[field.mul(c, g)]) for at, g in parts]
+                       for c in field.elements]
+        if p == 2:
+            self.add = self.sub = xor
+            return
+        low = ((1 << self.bits) - 1) // ((1 << w) - 1)  # 1 in every lane
+        k, h, pp, top = low * ((1 << (w - 1)) - p), low << (w - 1), low * p, w - 1
+
+        def add(a: int, b: int) -> int:
+            s = a + b
+            return s - (((s + k) & h) >> top) * p
+
+        def sub(a: int, b: int) -> int:
+            s = a + pp - b
+            return s - (((s + k) & h) >> top) * p
+
+        self.add, self.sub = add, sub
+
+    def pack(self, vec) -> int:
+        """The packed int of a coordinate sequence (elements 0..q-1)."""
+        code, cw, x = self.code, self.cw, 0
+        for a in reversed(vec):
+            x = x << cw | code[a]
+        return x
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The coordinate tuple of a packed vector."""
+        value, cmask = self.value, self.cmask
+        return tuple(value[x >> s & cmask] for s in range(0, self.bits, self.cw))
+
+    def scale(self, x: int, c: int) -> int:
+        """c * x for a field element c: the sum over the bit planes of x's
+        digits, each multiplied by one code.  No product carries, since a
+        plane has at most one bit per coordinate and a code fits in one."""
+        if c <= 1:
+            return x if c else 0
+        add, bottom, r = self.add, self.bottom, 0
+        for at, code in self.planes[c]:
+            if plane := x >> at & bottom:
+                r = add(r, plane * code)
+        return r
+
+
+_LANES: dict[tuple[int, int], Lanes] = {}
+
+
+def lanes(field: GF, n: int) -> Lanes:
+    """The Lanes of F_q^n; the modulus of GF(q) is fixed by q, so one
+    layout serves every field object of that q."""
+    lay = _LANES.get((field.q, n))
+    if lay is None:
+        lay = _LANES[field.q, n] = Lanes(field, n)
+    return lay
+
+
 @dataclass(frozen=True, slots=True)
 class Subspace:
     """A k-dimensional subspace of F_q^n in canonical (RREF) form.
 
-    basis rows are tuples of int-encoded field elements; pivot_cols is the
+    rows are the k RREF rows as packed ints (see Lanes); pivot_cols is the
     strictly increasing tuple of pivot column indices.  Instances are
     immutable and hashable.
     """
@@ -38,8 +142,13 @@ class Subspace:
     field: GF
     n: int
     k: int
-    basis: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The RREF rows as coordinate tuples (computed on each access)."""
+        return tuple(map(lanes(self.field, self.n).unpack, self.rows))
 
     def sort_key(self):
         """Total order matching enumeration order: pivot pattern first,
@@ -50,49 +159,47 @@ class Subspace:
         return self.sort_key() < other.sort_key()
 
     def contains(self, other: "Subspace") -> bool:
-        """True iff other is a subspace of self: each basis row of other
-        reduces to zero against self's RREF rows."""
+        """True iff other is a subspace of self: each row of other reduces
+        to zero against self's RREF rows."""
         _check_compatible(self, other)
         if self.k == self.n:  # F_q^n contains every subspace
             return True
         if other.k > self.k:
             return False
-        for y in other.basis:
-            if any(_reduce(self.field, self.basis, self.pivot_cols, y)):
+        lay = lanes(self.field, self.n)
+        for y in other.rows:
+            if _reduce(lay, self.rows, self.pivot_cols, y):
                 return False
         return True
 
     def vectors(self):
-        """Yield every vector of the subspace (q^k coordinate tuples).
+        """Yield every vector of the subspace as a packed int (q^k of them).
 
-        The combination sum_j c_j * basis_j comes at position sum_j c_j q^j.
+        The combination sum_j c_j * rows_j comes at position sum_j c_j q^j.
         """
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        span = [(0,) * self.n]
-        for row in self.basis:
-            scaled = [tuple(map(mul[c].__getitem__, row)) for c in f.elements]
-            span = [
-                tuple(map(getitem, map(add.__getitem__, vec), s))
-                for s in scaled
-                for vec in span
-            ]
+        lay = lanes(self.field, self.n)
+        add, scale = lay.add, lay.scale
+        span = [0]
+        for row in self.rows:
+            span = [add(v, m) for m in [scale(row, c) for c in self.field.elements] for v in span]
         return iter(span)
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement under the standard dot product, in RREF.
-        Its basis is the null space of the RREF basis: one vector per free
-        column c, with 1 at c and -basis[i][c] at pivot column i."""
-        f, n = self.field, self.n
-        rows = []
-        for c in range(n):
+        """Orthogonal complement under the standard dot product, in RREF:
+        the row reduction of the null space of the RREF rows, one vector per
+        free column c with 1 at c and -row_i[c] at pivot column i."""
+        lay = lanes(self.field, self.n)
+        cw, cmask = lay.cw, lay.cmask
+        negated = [lay.sub(0, row) for row in self.rows]
+        null = []
+        for c in range(self.n):
             if c not in self.pivot_cols:
-                vec = [0] * n
-                vec[c] = 1
-                for row, p in zip(self.basis, self.pivot_cols):
-                    vec[p] = f.neg(row[c])
-                rows.append(vec)
-        return canonicalize(f, rows or [[0] * n])
+                vec = 1 << c * cw
+                for row, p in zip(negated, self.pivot_cols):
+                    vec |= (row >> c * cw & cmask) << p * cw
+                null.append(vec)
+        basis, pivots = _rref(lay, null)
+        return Subspace(self.field, self.n, len(basis), tuple(basis), tuple(pivots))
 
     def __repr__(self):
         rows = ";".join("".join(str(x) for x in r) for r in self.basis)
@@ -109,35 +216,37 @@ def span_frames(field: GF, k: int, d: int) -> list[tuple[int, ...]]:
             for coeffs in enumerate_subspaces(field, k, d)]
 
 
-def _reduce(field: GF, rows, pivots, vec):
-    """vec - sum_i vec[pivots[i]] * rows[i] through the field's table rows:
-    the residual of vec against RREF rows, zero iff vec lies in their span.
-    Each step clears one pivot entry and leaves the others as they were."""
-    add, mul, neg = field.add_table, field.mul_table, field.neg
+def _reduce(lay: Lanes, rows, pivots, vec: int) -> int:
+    """vec - sum_i vec[pivots[i]] * rows[i]: the residual of vec against
+    RREF rows, zero iff vec lies in their span.  Each step clears one pivot
+    entry and leaves the others as they were."""
+    cw, cmask = lay.cw, lay.cmask
     for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            vec = list(map(getitem, map(add.__getitem__, vec), map(mul[neg(c)].__getitem__, row)))
+        if x := vec >> p * cw & cmask:
+            c = lay.value[x]
+            vec = lay.sub(vec, row if c == 1 else lay.scale(row, c))
     return vec
 
 
-def _rref(field: GF, rows, basis=(), pivots=()) -> tuple[list, list[int]]:
+def _rref(lay: Lanes, rows, basis=(), pivots=()) -> tuple[list[int], list[int]]:
     """RREF rows and pivots of the span of basis (RREF, with pivots) and
     rows, one row at a time: its residual, scaled to a leading 1, clears
     its pivot column from the rows with an entry there and goes in by pivot."""
     basis, pivots = list(basis), list(pivots)
+    cw, cmask = lay.cw, lay.cmask
     for vec in rows:
-        if len(pivots) == len(vec):  # a full-rank basis spans every vector
+        if len(pivots) == lay.n:  # a full-rank basis spans every vector
             break
-        r = _reduce(field, basis, pivots, vec) if basis else vec
-        p = next(itertools.compress(itertools.count(), r), None)
-        if p is None:
+        r = _reduce(lay, basis, pivots, vec)
+        if not r:
             continue
-        if r[p] != 1:
-            r = list(map(field.mul_table[field.inv(r[p])].__getitem__, r))
+        p = ((r & -r).bit_length() - 1) // cw  # the first nonzero coordinate
+        c = lay.value[r >> p * cw & cmask]
+        if c != 1:
+            r = lay.scale(r, lay.field.inv(c))
         for i, row in enumerate(basis):
-            if row[p]:
-                basis[i] = _reduce(field, (r,), (p,), row)
+            if row >> p * cw & cmask:
+                basis[i] = _reduce(lay, (r,), (p,), row)
         i = bisect_left(pivots, p)
         basis.insert(i, r)
         pivots.insert(i, p)
@@ -162,8 +271,9 @@ def canonicalize(field: GF, rows) -> Subspace:
     elements = set(field.elements)
     if any(len(r) != n or not elements.issuperset(r) for r in rows):
         raise AmbientMismatchError(f"rows are not vectors of GF({field.q})^{n}")
-    basis, pivots = _rref(field, rows)
-    return Subspace(field, n, len(basis), tuple(map(tuple, basis)), tuple(pivots))
+    lay = lanes(field, n)
+    basis, pivots = _rref(lay, map(lay.pack, rows))
+    return Subspace(field, n, len(basis), tuple(basis), tuple(pivots))
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -176,7 +286,7 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 def dim_sum(a: Subspace, b: Subspace) -> int:
     """dim(A + B): the rank of B's rows added to A's RREF rows."""
     _check_compatible(a, b)
-    return len(_rref(a.field, b.basis, a.basis, a.pivot_cols)[1])
+    return len(_rref(lanes(a.field, a.n), b.rows, a.rows, a.pivot_cols)[1])
 
 
 def dim_intersection(a: Subspace, b: Subspace) -> int:
@@ -189,27 +299,25 @@ def enumerate_subspaces(field: GF, n: int, k: int, limit: int = ENUMERATION_LIMI
     pivot-column k-sets lexicographically; within a pattern, the free
     entries run through base-q counters in row-major order.
 
-    Fails fast with TooLargeError when qcount.gauss_at_most finds that
-    [n,k]_q exceeds the limit.
+    Each row takes the packed values of its pivot digit plus its free
+    digits, earlier columns counting slower; the rows then run through
+    their product, row 0 slowest, which is the same counter.  Fails fast
+    with TooLargeError when qcount.gauss_at_most finds that [n,k]_q exceeds
+    the limit.
     """
     if not 0 <= k <= n:
         raise OutOfRangeError(f"need 0 <= k <= n, got n={n} k={k}")
     if not gauss_at_most(n, k, field.q, limit):
         raise TooLargeError(f"[{n},{k}]_{field.q} exceeds limit {limit}")
-    elements = tuple(field.elements)
+    lay = lanes(field, n)
+    digits = [[x << c * lay.cw for x in lay.code] for c in range(n)]
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, c)
-            for i in range(k)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivot_set
-        ]
-        base = [[0] * n for _ in range(k)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        for digits in itertools.product(elements, repeat=len(free)):
-            rows = [r[:] for r in base]
-            for (i, c), d in zip(free, digits):
-                rows[i][c] = d
-            yield Subspace(field, n, k, tuple(tuple(r) for r in rows), pivots)
+        choices = []
+        for p in pivots:
+            row = [1 << p * lay.cw]
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    row = [r | d for r in row for d in digits[c]]
+            choices.append(row)
+        for rows in itertools.product(*choices):
+            yield Subspace(field, n, k, rows, pivots)

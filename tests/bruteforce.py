@@ -2,8 +2,8 @@
 
 Deliberately naive implementations (literal ordering enumeration, exhaustive
 dynamic programming, unpruned clique and independent-set extension, span
-deduplication, column-by-column Gauss-Jordan elimination, span sets grown
-one row at a time, pairwise intersection counting, every grouping of
+deduplication, column-by-column Gauss-Jordan elimination, null spaces built
+entry by entry, span sets grown one row at a time, pairwise intersection counting, every grouping of
 separator components, per-vertex breadth-first search of a bag tree, a
 one-line-at-a-time .gr reader, a bit-by-bit matrix transpose, trial
 division) that share no code with the solvers and bulk routes they check.
@@ -218,6 +218,23 @@ def rref_gauss_jordan(field: GF, rows: list[list[int]]) -> tuple[list[list[int]]
     return rows[:r], pivots
 
 
+def perp_by_null_space(field: GF, n: int, rows) -> tuple[list[list[int]], list[int]]:
+    """RREF rows and pivots of the orthogonal complement of span(rows):
+    the null space of their Gauss-Jordan RREF, one vector per free column
+    c with 1 at c and -row_i[c] at pivot column i, reduced again; one field
+    call per entry (the package's perp before it packed vectors)."""
+    basis, pivots = rref_gauss_jordan(field, [list(r) for r in rows]) if rows else ([], [])
+    null = []
+    for c in range(n):
+        if c not in pivots:
+            vec = [0] * n
+            vec[c] = 1
+            for row, p in zip(basis, pivots):
+                vec[p] = field.neg(row[c])
+            null.append(vec)
+    return rref_gauss_jordan(field, null) if null else ([], [])
+
+
 def span_set(field: GF, n: int, rows) -> set[tuple[int, ...]]:
     """Every vector of F_q^n in the span of rows: starting from the zero
     vector, each row adds all its multiples to every vector so far, one
@@ -230,14 +247,15 @@ def span_set(field: GF, n: int, rows) -> set[tuple[int, ...]]:
 
 
 def vector_masks(labels) -> list[int]:
-    """Bitmask of member vectors per subspace; vector (c_0..c_{n-1}) maps to
-    bit sum_i c_i * q^i.  |A cap B| = q^dim(A cap B), so popcounts of ANDed
-    masks give intersection dimensions without rank computations."""
+    """Bitmask of member vectors per subspace, from span_set of its basis;
+    vector (c_0..c_{n-1}) maps to bit sum_i c_i * q^i.  |A cap B| =
+    q^dim(A cap B), so popcounts of ANDed masks give intersection
+    dimensions without rank computations."""
     masks = []
     for s in labels:
         q = s.field.q
         m = 0
-        for vec in s.vectors():
+        for vec in span_set(s.field, s.n, s.basis):
             idx = 0
             for c in reversed(vec):
                 idx = idx * q + c

@@ -8,8 +8,9 @@ import pytest
 
 from qkneser.cli import main
 from qkneser.ekr import max_independent_set_exact
-from qkneser.graph import build_qkneser, build_qkneser_all_t, edge_count
-from qkneser.qcount import Params, alpha_formula, degree_formula, gauss, tw_value
+from qkneser.graph import build_qkneser, build_qkneser_all_t, edge_count, write_gr
+from qkneser.qcount import (Params, alpha_formula, degree_formula, dual_form, gauss, qkneser_tw,
+                            sweep_records, tw_value)
 from qkneser.verify import buildable_instances
 
 ROWS = [Params(n, k, t, q) for q, n, k in buildable_instances() for t in range(1, k)]
@@ -70,6 +71,26 @@ def test_formulas_agree_with_the_dual(p):
         assert tw_value(p) == tw_value(d)
         assert alpha_formula(p) == alpha_formula(d)
         assert degree_formula(p) == degree_formula(d)
+
+
+@pytest.mark.parametrize("p", ROWS, ids=lambda p: f"q{p.q}n{p.n}k{p.k}t{p.t}")
+def test_dual_form_is_the_dual_below_2k(p):
+    assert dual_form(p) == (p if p.n >= 2 * p.k else dual(p))
+
+
+def test_q_kneser_gate_reads_the_dual(tmp_path, capsys):
+    # K_2(7,5,4) is K_2(7,2,1) under U -> U^perp, inside the q-Kneser range
+    p = Params(7, 5, 4, 2)
+    assert qkneser_tw(p) == qkneser_tw(Params(7, 2, 1, 2)) == 2603
+    assert main(["params", "-q", "2", "-n", "7", "-k", "5", "-t", "4"]) == 0
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert (report["tw_formula_applies"], report["tw"]) == ("true", "2603")
+    assert sweep_records([p])[0].split(",")[-1] == "2603"
+    write_gr(build_qkneser(p), tmp_path / "g.gr")
+    assert "c tw=2603" in (tmp_path / "g.gr").read_text().splitlines()
+    # K_2(6,3,2) has n = 2k and is read as it is: outside the range
+    assert qkneser_tw(Params(6, 3, 2, 2)) is None
+    assert sweep_records([Params(6, 3, 2, 2)])[0].endswith(",-")
 
 
 def test_only_one_row_has_no_tw_value():

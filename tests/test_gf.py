@@ -115,6 +115,17 @@ def test_primes_above_the_proven_bound_are_refused_fast(q):
     assert time.perf_counter() - start < 0.5
 
 
+def test_long_q_without_a_small_prime_factor_is_refused_untested():
+    # 43^2599 * 47 (14,110 bits) is no perfect power, so root extraction
+    # leaves it whole; one Miller-Rabin round on it alone takes seconds
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        factor_prime_power(43**2599 * 47)
+    assert time.perf_counter() - start < 1.0
+    # the gate reads the q left after root extraction
+    assert factor_prime_power(43**2600) == (43, 2600)
+
+
 @pytest.mark.parametrize("q", [
     1, 6, 0, -4,
     561,                       # a Carmichael number

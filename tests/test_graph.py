@@ -11,6 +11,7 @@ from bruteforce import (
     pairwise_meets,
     qkneser_rows_pairwise,
     read_gr_lines,
+    rref_gauss_jordan,
     transpose_bits,
     vector_masks,
 )
@@ -123,12 +124,16 @@ def test_meet_layer_builder_matches_pairwise_oracle(q, n, k):
 
 
 def test_adjacency_matches_definition():
+    # dim(U cap V) = 2k - rank of the stacked bases, by column-by-column
+    # Gauss-Jordan elimination on coordinate lists
     p = Params(4, 2, 1, 2)
     g = build_qkneser(p)
+    field = make_field(p.q)
     for u in range(g.n_vertices):
         for v in range(u + 1, g.n_vertices):
-            expected = dim_intersection(g.labels[u], g.labels[v]) < p.t
-            assert bool((g.rows[u] >> v) & 1) == expected
+            stacked = [list(r) for r in g.labels[u].basis + g.labels[v].basis]
+            meet = 2 * p.k - len(rref_gauss_jordan(field, stacked)[1])
+            assert bool((g.rows[u] >> v) & 1) == (meet < p.t)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from bruteforce import rref_gauss_jordan, span_set, subspaces_by_span_dedup
-from qkneser.errors import AmbientMismatchError, EmptyMatrixError, TooLargeError
+from bruteforce import perp_by_null_space, rref_gauss_jordan, span_set, subspaces_by_span_dedup
+from qkneser.errors import AmbientMismatchError, EmptyMatrixError, NotPrimePowerError, TooLargeError
+from qkneser.errors import UnsupportedFieldError
 from qkneser.gf import make_field
 from qkneser.qcount import gauss
 from qkneser.subspace import (
@@ -11,6 +12,7 @@ from qkneser.subspace import (
     dim_intersection,
     dim_sum,
     enumerate_subspaces,
+    lanes,
     span_frames,
 )
 
@@ -147,7 +149,7 @@ def test_span_frames_pick_each_subspace_once(q, n, k, d):
     assert len(frames) == gauss(k, d, q)
     inside = [w for w in enumerate_subspaces(field, n, d)]
     for s in list(enumerate_subspaces(field, n, k))[:20]:
-        span = list(s.vectors())
+        span = list(map(lanes(field, n).unpack, s.vectors()))
         picked = [canonicalize(field, [span[i] for i in fr] or [[0] * n]) for fr in frames]
         assert [w.basis for w in picked] == [tuple(span[i] for i in fr) for fr in frames]
         assert sorted(picked) == sorted(w for w in inside if s.contains(w))
@@ -284,6 +286,93 @@ def test_contains_agrees_with_rank_route(q, n):
 
 def test_vectors_span_has_full_size():
     s = unit_spans(F3, 3, (0, 2))
-    vecs = set(s.vectors())
+    vecs = set(map(lanes(F3, 3).unpack, s.vectors()))
     assert len(vecs) == 9
     assert (0, 0, 0) in vecs and (1, 0, 2) in vecs
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against per-entry tuple oracles, on every field q <= 27
+# ---------------------------------------------------------------------------
+
+def _fields_up_to(qmax: int):
+    out = []
+    for q in range(2, qmax + 1):
+        try:
+            out.append(make_field(q))
+        except (NotPrimePowerError, UnsupportedFieldError):
+            pass
+    return out
+
+
+FIELDS_TO_27 = _fields_up_to(27)
+
+
+def test_fields_to_27_are_the_primes_and_prime_powers():
+    assert [f.q for f in FIELDS_TO_27] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
+
+
+def _lane_edge_vectors(field, n: int) -> list[list[int]]:
+    """Vectors whose lanes sit at the edges of the add rule: every digit
+    p-1 (so (p-1)+(p-1) in each lane), zero, one in the top lane only, the
+    largest element in the top lane only, and 1 everywhere."""
+    top = field.q - 1
+    return [[top] * n, [0] * n, [0] * (n - 1) + [1], [0] * (n - 1) + [top], [1] * n]
+
+
+@pytest.mark.parametrize("field", FIELDS_TO_27, ids=lambda f: f"q{f.q}")
+def test_lane_arithmetic_matches_field_tables(field):
+    """pack/unpack, add, sub and scale on packed vectors equal the same
+    operation entry by entry through the field's add and mul."""
+    rng = random.Random(field.q)
+    for n in range(1, 7):
+        lay = lanes(field, n)
+        vecs = _lane_edge_vectors(field, n) + [
+            [rng.randrange(field.q) for _ in range(n)] for _ in range(12)]
+        for a in vecs:
+            x = lay.pack(a)
+            assert x.bit_length() <= lay.bits and lay.unpack(x) == tuple(a)
+            for c in {0, 1, field.q - 1, rng.randrange(field.q)}:
+                assert lay.unpack(lay.scale(x, c)) == tuple(field.mul(c, v) for v in a)
+            for b in vecs[:5] + [rng.choice(vecs)]:
+                y = lay.pack(b)
+                assert lay.unpack(lay.add(x, y)) == tuple(map(field.add, a, b))
+                assert lay.unpack(lay.sub(x, y)) == tuple(map(field.sub, a, b))
+
+
+@pytest.mark.parametrize("field", FIELDS_TO_27, ids=lambda f: f"q{f.q}")
+def test_packed_kernel_matches_tuple_oracles(field):
+    """canonicalize, contains, dim_sum, perp and vectors() against
+    Gauss-Jordan elimination, null spaces built entry by entry and span
+    sets, on seeded matrices with n <= 6, lane edge rows included."""
+    rng = random.Random(1000 + field.q)
+    q = field.q
+    for case in range(40):
+        n = 1 + case % 6
+        rows = _oracle_rows(rng, field, n, rng.randrange(1, n + 3))
+        if case % 4 == 0:
+            rows += rng.sample(_lane_edge_vectors(field, n), 2)
+        s = canonicalize(field, rows)
+        basis, pivots = rref_gauss_jordan(field, [list(r) for r in rows])
+        assert (s.basis, s.pivot_cols) == (tuple(map(tuple, basis)), tuple(pivots))
+        t = canonicalize(field, _oracle_rows(rng, field, n, rng.randrange(1, n + 2))
+                         + rng.sample(rows, rng.randrange(len(rows) + 1)))
+        total = _oracle_rank(field, s.basis + t.basis)
+        assert dim_sum(s, t) == dim_sum(t, s) == total
+        assert s.contains(t) == (total == s.k) and t.contains(s) == (total == t.k)
+        perp_basis, perp_pivots = perp_by_null_space(field, n, s.basis)
+        perp = s.perp()
+        assert (perp.basis, perp.pivot_cols) == (tuple(map(tuple, perp_basis)),
+                                                 tuple(perp_pivots))
+        if q**s.k <= 729:
+            # position sum_j c_j q^j holds sum_j c_j * row_j
+            expected = []
+            for pos in range(q**s.k):
+                vec = [0] * n
+                for j, row in enumerate(s.basis):
+                    c = pos // q**j % q
+                    vec = [field.add(v, field.mul(c, x)) for v, x in zip(vec, row)]
+                expected.append(tuple(vec))
+            got = list(map(lanes(field, n).unpack, s.vectors()))
+            assert got == expected
+            assert set(got) == span_set(field, n, rows)
