@@ -20,9 +20,11 @@ members are independent in the graph itself.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .cliques import CliqueResult, max_clique
 from .errors import DimMismatchError, NotIndependentError, OutOfRangeError
-from .graph import Graph, bits
+from .graph import Graph, _flags, bits
 from .qcount import nest_dim
 from .subspace import Subspace
 
@@ -78,5 +80,6 @@ def max_independent_set_exact(g: Graph, node_budget: int | None = None,
 
 def write_vertex_set(members: int, path) -> None:
     """Persist a witness as sorted 1-indexed vertex ids, one per line."""
+    ids = [f"{v + 1}\n" for v in range(members.bit_length())]
     with open(path, "w") as fh:
-        fh.write("".join(f"{v + 1}\n" for v in bits(members)))
+        fh.write("".join(compress(ids, _flags(members))))

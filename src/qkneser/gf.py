@@ -218,18 +218,6 @@ class GF:
 
     # -- arithmetic --------------------------------------------------------
 
-    @property
-    def add_table(self) -> tuple[tuple[int, ...], ...]:
-        """add_table[a][b] = a + b, as read-only rows, so that
-        map(add_table[a].__getitem__, vec) adds a to each entry of vec
-        without a Python call per entry."""
-        return self._add
-
-    @property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        """mul_table[a][b] = a * b, as read-only rows."""
-        return self._mul
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
@@ -246,9 +234,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
 
     def pow(self, a: int, m: int) -> int:
         r = 1

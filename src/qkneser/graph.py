@@ -8,9 +8,10 @@ directly.
 
 One code path builds adjacency, _meet_layers: u and v are non-adjacent iff
 they share a t-subspace, so the non-neighbours of u are the union of the
-point pencils of the t-subspaces of u (subspace.span_frames; Subspace.perp
-when 2k > n).  That costs V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q
-on the complement side) instead of one intersection test per vertex pair.
+point pencils of the t-subspaces of u (Subspace.perp when 2k > n), each
+named by its int key from subspace.subspace_keys.  That costs V * [k,t]_q
+big-integer ORs (V * [n-k,t-2k+n]_q on the complement side) instead of one
+intersection test per vertex pair.
 
 _flags is the one way to walk a packed row: one byte per bit, 1 where the
 bit is set, as itertools.compress selectors.  bits() selects the indices
@@ -43,13 +44,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from itertools import compress, groupby, islice
-from operator import eq
+from operator import eq, or_
 
 from .errors import MalformedFileError, TooLargeError
 from .gf import make_field
 from .qcount import Params, alpha_formula, degree_formula, gauss, qkneser_tw
-from .subspace import Subspace, enumerate_subspaces, lanes, span_frames
+from .subspace import Subspace, enumerate_subspaces, subspace_keys
 
 VERTEX_LIMIT = 5000
 
@@ -152,57 +154,36 @@ def is_regular(g: Graph) -> bool:
     return all(r.bit_count() == d for r in g.rows)
 
 
-def _meet_layers(labels: list[Subspace], n: int, k: int, q: int,
-                 dims: list[int]) -> dict[int, list[int]]:
+def _meet_layers(labels: list[Subspace], dims: list[int]) -> dict[int, list[int]]:
     """{d: ge_d} for each 1 <= d < k in dims, where ge_d[u] is the bitmask
     of the v with dim(label_u cap label_v) >= d (u itself included).
 
     Two subspaces meet in dimension >= d iff they share a d-subspace T, so
     ge_d[u] is the union of the pencils pencil[T] = {v : T in label_v} over
-    the d-subspaces T of label_u.  subspace.span_frames gives each T's RREF
-    basis as positions in U's span, so its packed rows are T's canonical
-    key.
+    the d-subspaces T of label_u, each T named by its key from
+    subspace.subspace_keys.
 
     When 2k > n the work moves to the complements (Subspace.perp), of the
     smaller dimension n-k: dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
     """
-    field = make_field(q)
     nv = len(labels)
+    n, k = labels[0].n, labels[0].k
     shift = max(0, 2 * k - n)  # every pair meets in dimension >= shift
     layers = {d: [(1 << nv) - 1] * nv for d in dims if d <= shift}
     keyed = [d for d in dims if d > shift]
     if not keyed:
         return layers
-    # a d-subspace's key is one int, its d packed RREF rows side by side,
-    # row j shifted by j * bits (for d = 1 the row itself); keys of
-    # different d lie in disjoint ranges, since every row is nonzero.  A
-    # frame is kept as the position of row 0 and (position, shift) pairs
-    bits = lanes(field, n).bits
-    frames = [[(fr[0], tuple((i, j * bits) for j, i in enumerate(fr) if j))
-               for fr in span_frames(field, k - shift, d - shift)] for d in keyed]
     spaces = labels if shift == 0 else [s.perp() for s in labels]
     pencils: dict[int, int] = {}  # key -> bitmask of the spaces holding it
-    members = [[] for _ in keyed]  # members[i][u]: keys of u's subspaces
-    for u, s in enumerate(spaces):
-        span = list(s.vectors())
+    members = [[] for _ in keyed]  # members[i][u]: keys of u's (keyed[i] - shift)-subspaces
+    for u, keys in enumerate(subspace_keys(spaces, [d - shift for d in keyed])):
         bit = 1 << u
-        for layer_frames, layer_members in zip(frames, members):
-            keys = []
-            for first, rest in layer_frames:
-                key = span[first]
-                for i, at in rest:
-                    key |= span[i] << at
+        for layer_members, layer_keys in zip(members, keys):
+            layer_members.append(layer_keys)
+            for key in layer_keys:
                 pencils[key] = pencils.get(key, 0) | bit
-                keys.append(key)
-            layer_members.append(keys)
     for d, layer_members in zip(keyed, members):
-        ge = []
-        for keys in layer_members:
-            acc = 0
-            for key in keys:
-                acc |= pencils[key]
-            ge.append(acc)
-        layers[d] = ge
+        layers[d] = [reduce(or_, map(pencils.__getitem__, keys)) for keys in layer_members]
     return layers
 
 
@@ -210,7 +191,7 @@ def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
     """Materialize K_q(n,k,t): vertices = k-subspaces of F_q^n, edges where
     dim(intersection) < t.  Fails fast when [n,k]_q exceeds the limit."""
     labels = list(enumerate_subspaces(make_field(p.q), p.n, p.k, limit))
-    ge = _meet_layers(labels, p.n, p.k, p.q, [p.t])[p.t]
+    ge = _meet_layers(labels, [p.t])[p.t]
     full = (1 << len(labels)) - 1
     return Graph(len(labels), [full ^ r for r in ge], labels=labels, meta=p)
 
@@ -232,7 +213,7 @@ def build_qkneser_all_t(n: int, k: int, q: int) -> tuple[dict[int, Graph], list[
     labels = list(enumerate_subspaces(make_field(q), n, k, VERTEX_LIMIT))
     nv = len(labels)
     full = (1 << nv) - 1
-    layers = _meet_layers(labels, n, k, q, list(range(1, k)))
+    layers = _meet_layers(labels, list(range(1, k)))
     hists = []
     for u in range(nv):
         # c[d] = |ge_d[u]| for d = 0..k; only u meets u in dimension k

@@ -1,10 +1,12 @@
 """Canonical subspaces of F_q^n, their algebra and exhaustive enumeration.
 
-A k-subspace is represented by its reduced row echelon form (RREF) basis,
-which is unique, so two Subspace values are equal iff their RREF rows are
-identical.  Enumeration runs over pivot-column patterns in lexicographic
-order with the free entries counted in base q, which is linear in the output
-size and gives the package's canonical vertex numbering.
+A Subspace is its layout plus its rows: lay, the one Lanes that lanes()
+keeps for (q, n), and the reduced row echelon form (RREF) basis, which is
+unique.  Two values are equal iff they share the layout and the rows, and
+two subspaces are compatible iff their layouts are the same object.
+Enumeration runs over pivot-column patterns in lexicographic order with
+the free entries counted in base q, which is linear in the output size and
+gives the package's canonical vertex numbering.
 
 Vectors are packed ints (SWAR lanes; Warren, Hacker's Delight, 2nd ed.,
 ch. 2).  For q = p^e, base-p digit j of coordinate i sits in lane i*e + j,
@@ -26,7 +28,8 @@ code of c * 2^b * x^j), with no carries since a plane has at most one bit
 per coordinate and a code fits in one.  That is e * (p-1).bit_length()
 products per scaling, and no field table is read per coordinate.
 Lanes(field, n) holds the constants of one layout; lanes() keeps one per
-(q, n).
+(q, n).  The packed format is known only to this module: graph.py names
+a d-subspace by the int key that subspace_keys builds from a span.
 
 All row reduction goes through one kernel, _reduce, which contains() runs
 on each row of the other space and _rref (behind canonicalize, dim_sum and
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import index, xor
+from operator import index, lshift, xor
 
 from .errors import AmbientMismatchError, EmptyMatrixError, OutOfRangeError, TooLargeError
 from .gf import GF
@@ -93,6 +96,9 @@ class Lanes:
 
         self.add, self.sub = add, sub
 
+    def __reduce__(self):  # a copy or an unpickled value is the one layout of its (q, n)
+        return lanes, (self.field, self.n)
+
     def pack(self, vec) -> int:
         """The packed int of a coordinate sequence (elements 0..q-1)."""
         code, cw, x = self.code, self.cw, 0
@@ -134,21 +140,31 @@ def lanes(field: GF, n: int) -> Lanes:
 class Subspace:
     """A k-dimensional subspace of F_q^n in canonical (RREF) form.
 
-    rows are the k RREF rows as packed ints (see Lanes); pivot_cols is the
-    strictly increasing tuple of pivot column indices.  Instances are
-    immutable and hashable.
+    lay is the layout of F_q^n, rows the k RREF rows as packed ints,
+    pivot_cols the strictly increasing pivot column indices; field, n and
+    k are read from them.  Instances are immutable and hashable.
     """
 
-    field: GF
-    n: int
-    k: int
+    lay: Lanes
     rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
 
     @property
+    def field(self) -> GF:
+        return self.lay.field
+
+    @property
+    def n(self) -> int:
+        return self.lay.n
+
+    @property
+    def k(self) -> int:
+        return len(self.rows)
+
+    @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         """The RREF rows as coordinate tuples (computed on each access)."""
-        return tuple(map(lanes(self.field, self.n).unpack, self.rows))
+        return tuple(map(self.lay.unpack, self.rows))
 
     def sort_key(self):
         """Total order matching enumeration order: pivot pattern first,
@@ -162,13 +178,8 @@ class Subspace:
         """True iff other is a subspace of self: each row of other reduces
         to zero against self's RREF rows."""
         _check_compatible(self, other)
-        if self.k == self.n:  # F_q^n contains every subspace
-            return True
-        if other.k > self.k:
-            return False
-        lay = lanes(self.field, self.n)
         for y in other.rows:
-            if _reduce(lay, self.rows, self.pivot_cols, y):
+            if _reduce(self.lay, self.rows, self.pivot_cols, y):
                 return False
         return True
 
@@ -177,29 +188,28 @@ class Subspace:
 
         The combination sum_j c_j * rows_j comes at position sum_j c_j q^j.
         """
-        lay = lanes(self.field, self.n)
-        add, scale = lay.add, lay.scale
+        add, scale, elements = self.lay.add, self.lay.scale, self.lay.field.elements
         span = [0]
         for row in self.rows:
-            span = [add(v, m) for m in [scale(row, c) for c in self.field.elements] for v in span]
+            span = [add(v, m) for m in [scale(row, c) for c in elements] for v in span]
         return iter(span)
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product, in RREF:
         the row reduction of the null space of the RREF rows, one vector per
         free column c with 1 at c and -row_i[c] at pivot column i."""
-        lay = lanes(self.field, self.n)
+        lay = self.lay
         cw, cmask = lay.cw, lay.cmask
         negated = [lay.sub(0, row) for row in self.rows]
         null = []
-        for c in range(self.n):
+        for c in range(lay.n):
             if c not in self.pivot_cols:
                 vec = 1 << c * cw
                 for row, p in zip(negated, self.pivot_cols):
                     vec |= (row >> c * cw & cmask) << p * cw
                 null.append(vec)
         basis, pivots = _rref(lay, null)
-        return Subspace(self.field, self.n, len(basis), tuple(basis), tuple(pivots))
+        return Subspace(lay, tuple(basis), tuple(pivots))
 
     def __repr__(self):
         rows = ";".join("".join(str(x) for x in r) for r in self.basis)
@@ -214,6 +224,23 @@ def span_frames(field: GF, k: int, d: int) -> list[tuple[int, ...]]:
     q = field.q
     return [tuple(sum(c * q**j for j, c in enumerate(row)) for row in coeffs.basis)
             for coeffs in enumerate_subspaces(field, k, d)]
+
+
+def subspace_keys(spaces: list[Subspace], dims: list[int]):
+    """Yield, for each of spaces (k-subspaces of one F_q^n), one list per
+    d in dims: the keys of its d-subspaces, in span_frames order.
+
+    A d-subspace's key is its d packed RREF rows side by side, row j
+    shifted up by j * lay.bits: keys are equal iff the subspaces are, and
+    lie in disjoint ranges for different d, since every row is nonzero.
+    Each space's span is computed once for all d."""
+    first = spaces[0]
+    layers = [span_frames(first.field, first.k, d) for d in dims]
+    shifts = range(0, first.k * first.lay.bits, first.lay.bits)
+    for s in spaces:
+        row = list(s.vectors()).__getitem__
+        yield [[sum(map(lshift, map(row, frame), shifts)) for frame in frames]
+               for frames in layers]
 
 
 def _reduce(lay: Lanes, rows, pivots, vec: int) -> int:
@@ -273,11 +300,11 @@ def canonicalize(field: GF, rows) -> Subspace:
         raise AmbientMismatchError(f"rows are not vectors of GF({field.q})^{n}")
     lay = lanes(field, n)
     basis, pivots = _rref(lay, map(lay.pack, rows))
-    return Subspace(field, n, len(basis), tuple(basis), tuple(pivots))
+    return Subspace(lay, tuple(basis), tuple(pivots))
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
-    if (a.field is not b.field and a.field != b.field) or a.n != b.n:
+    if a.lay is not b.lay:  # lanes() keeps one layout per (q, n)
         raise AmbientMismatchError(
             f"incompatible subspaces: GF({a.field.q})^{a.n} vs GF({b.field.q})^{b.n}"
         )
@@ -286,7 +313,7 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 def dim_sum(a: Subspace, b: Subspace) -> int:
     """dim(A + B): the rank of B's rows added to A's RREF rows."""
     _check_compatible(a, b)
-    return len(_rref(lanes(a.field, a.n), b.rows, a.rows, a.pivot_cols)[1])
+    return len(_rref(a.lay, b.rows, a.rows, a.pivot_cols)[1])
 
 
 def dim_intersection(a: Subspace, b: Subspace) -> int:
@@ -320,4 +347,4 @@ def enumerate_subspaces(field: GF, n: int, k: int, limit: int = ENUMERATION_LIMI
                     row = [r | d for r in row for d in digits[c]]
             choices.append(row)
         for rows in itertools.product(*choices):
-            yield Subspace(field, n, k, rows, pivots)
+            yield Subspace(lay, rows, pivots)

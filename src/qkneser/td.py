@@ -21,10 +21,11 @@ Includes a reader/writer for the PACE 2017 .td format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .ekr import is_independent
 from .errors import MalformedFileError, MalformedTreeError, NotIndependentError, TooLargeError
-from .graph import VERTEX_LIMIT, Graph, bits, open_utf8, parse_ints
+from .graph import VERTEX_LIMIT, Graph, _flags, bits, open_utf8, parse_ints
 
 
 @dataclass
@@ -168,8 +169,9 @@ def write_td(d: TreeDecomposition, path) -> None:
     lines = []
     max_bag = max((b.bit_count() for b in d.bags), default=0)
     lines.append(f"s td {len(d.bags)} {max_bag} {d.n_vertices}")
+    ids = [str(v + 1) for v in range(max((b.bit_length() for b in d.bags), default=0))]
     for bid, b in enumerate(d.bags, start=1):
-        lines.append(" ".join(["b", str(bid)] + [str(v + 1) for v in bits(b)]))
+        lines.append(" ".join(["b", str(bid), *compress(ids, _flags(b))]))
     for x, y in d.edges:
         lines.append(f"{x + 1} {y + 1}")
     with open(path, "w") as fh:

@@ -209,6 +209,31 @@ def test_solve_mis_from_params(capsys):
     assert got["value"] == "7" and got["status"] == "exact"
 
 
+@pytest.mark.parametrize("source", ["params", "gr"])
+def test_solve_mis_out_writes_an_independent_set(tmp_path, capsys, source):
+    from qkneser.ekr import is_independent
+    from qkneser.graph import build_qkneser, write_gr
+    from qkneser.qcount import Params
+
+    g = build_qkneser(Params(5, 2, 1, 2))
+    if source == "gr":
+        gr = tmp_path / "kq2_n5_k2_t1.gr"
+        write_gr(g, gr)
+        argv = ["--gr", str(gr)]
+    else:
+        argv = ["-q", "2", "-n", "5", "-k", "2", "-t", "1"]
+    cert = tmp_path / "mis.txt"
+    code, out = run(capsys, "solve", *argv, "--task", "mis", "--out", str(cert))
+    got = parse(out)
+    assert code == 0 and got["status"] == "exact" and got["out"] == str(cert)
+    text = cert.read_text()
+    ids = [int(line) for line in text.splitlines()]
+    assert text == "".join(f"{v}\n" for v in ids)  # one id per line, nothing else
+    assert len(ids) == int(got["value"]) == 15
+    assert ids == sorted(set(ids)) and 1 <= ids[0] and ids[-1] <= g.n_vertices
+    assert is_independent(g, sum(1 << (v - 1) for v in ids))
+
+
 def test_solve_budget_zero_gives_bracket(capsys):
     code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
                     "--task", "tw", "--budget-ms", "0")

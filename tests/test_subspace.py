@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -5,7 +8,7 @@ import pytest
 from bruteforce import perp_by_null_space, rref_gauss_jordan, span_set, subspaces_by_span_dedup
 from qkneser.errors import AmbientMismatchError, EmptyMatrixError, NotPrimePowerError, TooLargeError
 from qkneser.errors import UnsupportedFieldError
-from qkneser.gf import make_field
+from qkneser.gf import GF, make_field
 from qkneser.qcount import gauss
 from qkneser.subspace import (
     canonicalize,
@@ -14,6 +17,7 @@ from qkneser.subspace import (
     enumerate_subspaces,
     lanes,
     span_frames,
+    subspace_keys,
 )
 
 F2 = make_field(2)
@@ -143,16 +147,21 @@ def test_perp_is_the_orthogonal_complement(q, n, k):
 @pytest.mark.parametrize("q,n,k,d", [(3, 4, 2, 1), (2, 5, 3, 2), (4, 3, 3, 1), (2, 4, 2, 0)])
 def test_span_frames_pick_each_subspace_once(q, n, k, d):
     """[U.vectors()[i] for i in frame] runs through the RREF bases of the
-    d-subspaces of U, each once."""
+    d-subspaces of U, each once, and subspace_keys gives each the key of
+    its own rows: row j shifted up by j * bits."""
     field = make_field(q)
     frames = span_frames(field, k, d)
     assert len(frames) == gauss(k, d, q)
     inside = [w for w in enumerate_subspaces(field, n, d)]
+    bits = lanes(field, n).bits
     for s in list(enumerate_subspaces(field, n, k))[:20]:
         span = list(map(lanes(field, n).unpack, s.vectors()))
         picked = [canonicalize(field, [span[i] for i in fr] or [[0] * n]) for fr in frames]
         assert [w.basis for w in picked] == [tuple(span[i] for i in fr) for fr in frames]
         assert sorted(picked) == sorted(w for w in inside if s.contains(w))
+        [[keys]] = subspace_keys([s], [d])
+        assert keys == [sum(r << j * bits for j, r in enumerate(w.rows)) for w in picked]
+        assert len(set(keys)) == len(frames)
 
 
 def test_canonical_form_independent_of_basis_choice():
@@ -249,6 +258,36 @@ def test_ambient_mismatch_rejected():
         dim_intersection(a, b)
     with pytest.raises(AmbientMismatchError):
         dim_sum(a, c)
+    with pytest.raises(AmbientMismatchError):  # F_2^4 against F_3^4
+        a.contains(c)
+    with pytest.raises(AmbientMismatchError):
+        c.contains(a)
+
+
+def test_one_layout_per_q_and_n_whatever_the_field_object():
+    rows = [[1, 2, 0], [0, 3, 8]]
+    a, b = canonicalize(GF(9), rows), canonicalize(make_field(9), rows)
+    assert a.lay is b.lay
+    assert a == b and hash(a) == hash(b)
+    assert a.contains(b) and b.contains(a)
+
+
+def test_subspace_is_immutable_and_copies_keep_its_layout():
+    s = unit_spans(F3, 4, (0, 2))
+    for name in ("lay", "rows", "pivot_cols"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+    # derived values and new names refuse too: AttributeError, or the
+    # TypeError that a frozen slots dataclass raises on CPython 3.11
+    for name in ("field", "n", "k", "basis", "other"):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(s, name, None)
+    assert (s.field, s.n, s.k) == (F3, 4, 2)
+    for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert other.lay is s.lay and other == s and hash(other) == hash(s)
+        assert other.contains(s) and s.contains(other)
 
 
 def test_modular_law_on_random_pairs():

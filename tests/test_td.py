@@ -113,15 +113,22 @@ def test_incoherent_vertex_witness():
 
 def test_malformed_trees_rejected():
     g = path_graph(3)
-    with pytest.raises(MalformedTreeError):
-        validate(g, TreeDecomposition(3, [0b111, 0b111], []))  # disconnected
-    with pytest.raises(MalformedTreeError):
-        validate(g, TreeDecomposition(3, [0b111, 0b111, 0b111],
-                                      [(0, 1), (1, 2), (2, 0)]))  # too many edges
-    with pytest.raises(MalformedTreeError):
-        validate(g, TreeDecomposition(3, [], []))
-    with pytest.raises(MalformedTreeError):
+    for bags, edges, reason in [
+        ([0b111, 0b111], [], "need 1 tree edges"),  # too few edges
+        ([0b111] * 3, [(0, 1), (1, 2), (2, 0)], "need 2 tree edges"),  # too many edges
+        ([], [], "no bags"),
+        ([0b111, 0b111], [(1, 1)], "bad tree edge"),  # a self-loop
+        ([0b111, 0b111], [(0, 2)], "bad tree edge"),  # a bag id out of range
+        ([0b111, 0b111], [(-1, 0)], "bad tree edge"),  # a negative bag id
+        # b - 1 edges, one of them repeated, so bag 2 is never reached
+        ([0b111] * 3, [(0, 1), (1, 0)], "do not connect all bags"),
+    ]:
+        with pytest.raises(MalformedTreeError, match=reason):
+            validate(g, TreeDecomposition(3, bags, edges))
+    with pytest.raises(MalformedTreeError, match="over 5 vertices"):
         validate(g, TreeDecomposition(5, [0b11111], []))  # wrong vertex range
+    with pytest.raises(MalformedTreeError, match="no bags"):
+        width(TreeDecomposition(3, [], []))
 
 
 def test_bag_vertex_outside_graph_rejected():
