@@ -1,13 +1,15 @@
-"""Exact arithmetic in the finite field GF(q) for prime powers q.
+"""The finite field GF(q) for prime powers q: moduli, encoding, products.
 
 Elements are plain integers in [0, q).  For GF(p^e) the integer a encodes
 the polynomial a_0 + a_1*x + ... + a_{e-1}*x^{e-1} where (a_0, ..., a_{e-1})
 are the base-p digits of a (a_0 least significant).  Extension fields are
 built from a fixed table of monic irreducible moduli (Conway polynomials),
 so element encodings are reproducible across runs and implementations.
+Addition is digit-wise mod p; it acts on whole packed vectors in
+subspace.Lanes, which is built from these digits and the product table.
 
-Only graph construction needs field arithmetic; the counting formulas treat
-q as a bare integer and never import this module.
+Only graph construction needs the field; the counting formulas treat q as
+a bare integer and never import this module.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 class GF:
-    """GF(q) with table-driven arithmetic on int-encoded elements.
+    """GF(q) as its modulus, its digit encoding and the product and inverse
+    tables behind mul and inv; vectors are added in subspace.Lanes.
 
     Immutable after construction; all operations are pure, so instances
     are safe for unrestricted concurrent use.
@@ -157,12 +160,6 @@ class GF:
         # the modulus x, whose products need no reduction
         p, q = self.p, self.q
         digits = [self.coeffs(a) for a in range(q)]
-        self._add = tuple(
-            tuple(self.element(tuple((x + y) % p for x, y in zip(digits[a], digits[b])))
-                  for b in range(q))
-            for a in range(q)
-        )
-        self._neg = [self.element(tuple((-x) % p for x in digits[a])) for a in range(q)]
         self._mul = tuple(tuple(self._poly_mul(digits[a], digits[b]) for b in range(q))
                           for a in range(q))
         self._inv = [0] * q
@@ -218,15 +215,6 @@ class GF:
 
     # -- arithmetic --------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -234,12 +222,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
-
-    def pow(self, a: int, m: int) -> int:
-        r = 1
-        for _ in range(m):
-            r = self._mul[r][a]
-        return r
 
     def __eq__(self, other):
         if isinstance(other, GF):

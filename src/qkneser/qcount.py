@@ -120,7 +120,8 @@ def gauss_bounds_hold(m: int, i: int, q: int) -> bool:
         q^(m-i) < (q^m-1)/(q^i-1) < q^(m-i+1)
         q^(i-m-1) < (q^i-1)/(q^m-1) < q^(i-m)
 
-    cross-multiplied into integer comparisons.
+    cross-multiplied into integer comparisons.  Cleared of denominators,
+    the reciprocal bounds are the ratio bounds again: one check serves both.
     """
     if not m >= i >= 1:
         raise OutOfRangeError(f"need m >= i >= 1, got m={m} i={i}")
@@ -132,10 +133,7 @@ def gauss_bounds_hold(m: int, i: int, q: int) -> bool:
     if not q ** (i * (m - i)) < g:
         return False
     a, b = q**m - 1, q**i - 1
-    if not q ** (m - i) * b < a < q ** (m - i + 1) * b:
-        return False
-    # reciprocal chain, cleared of the negative powers of q
-    return a < b * q ** (m + 1 - i) and b * q ** (m - i) < a
+    return q ** (m - i) * b < a < q ** (m - i + 1) * b
 
 
 def intersect_count(n: int, j: int, i: int, m: int, q: int) -> int:

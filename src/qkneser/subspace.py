@@ -136,7 +136,7 @@ def lanes(field: GF, n: int) -> Lanes:
     return lay
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Subspace:
     """A k-dimensional subspace of F_q^n in canonical (RREF) form.
 
@@ -145,9 +145,15 @@ class Subspace:
     k are read from them.  Instances are immutable and hashable.
     """
 
+    # by hand: under slots=True, CPython 3.11's frozen __setattr__ raises
+    # TypeError, not FrozenInstanceError, for a name that is not a field
+    __slots__ = ("lay", "rows", "pivot_cols")
     lay: Lanes
     rows: tuple[int, ...]
     pivot_cols: tuple[int, ...]
+
+    def __reduce__(self):  # copy and pickle without the frozen __setattr__
+        return Subspace, (self.lay, self.rows, self.pivot_cols)
 
     @property
     def field(self) -> GF:

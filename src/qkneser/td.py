@@ -166,16 +166,13 @@ def write_td(d: TreeDecomposition, path) -> None:
     """`s td <#bags> <max bag size> <#vertices>`, bag lines
     `b <id> <v...>`, then one `<id> <id>` line per tree edge; ids and
     vertices 1-indexed, matching the .gr export of the same graph."""
-    lines = []
-    max_bag = max((b.bit_count() for b in d.bags), default=0)
-    lines.append(f"s td {len(d.bags)} {max_bag} {d.n_vertices}")
-    ids = [str(v + 1) for v in range(max((b.bit_length() for b in d.bags), default=0))]
-    for bid, b in enumerate(d.bags, start=1):
-        lines.append(" ".join(["b", str(bid), *compress(ids, _flags(b))]))
-    for x, y in d.edges:
-        lines.append(f"{x + 1} {y + 1}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        max_bag = max((b.bit_count() for b in d.bags), default=0)
+        fh.write(f"s td {len(d.bags)} {max_bag} {d.n_vertices}\n")
+        ids = [str(v + 1) for v in range(max((b.bit_length() for b in d.bags), default=0))]
+        for bid, b in enumerate(d.bags, start=1):
+            fh.write(" ".join(["b", str(bid), *compress(ids, _flags(b))]) + "\n")
+        fh.writelines(f"{x + 1} {y + 1}\n" for x, y in d.edges)
 
 
 def read_td(path) -> TreeDecomposition:

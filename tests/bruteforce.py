@@ -1,15 +1,17 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately naive implementations (literal ordering enumeration, exhaustive
-dynamic programming, unpruned clique and independent-set extension, span
-deduplication, column-by-column Gauss-Jordan elimination, null spaces built
-entry by entry, span sets grown one row at a time, pairwise intersection counting, every grouping of
+dynamic programming, unpruned clique and independent-set extension, field
+addition digit by digit mod p, span deduplication, column-by-column
+Gauss-Jordan elimination, null spaces built entry by entry, span sets grown
+one row at a time, pairwise intersection counting, every grouping of
 separator components, per-vertex breadth-first search of a bag tree, a
 one-line-at-a-time .gr reader, a bit-by-bit matrix transpose, trial
 division) that share no code with the solvers and bulk routes they check.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from qkneser.errors import MalformedFileError, TooLargeError
@@ -29,6 +31,23 @@ def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
         q //= p
         e += 1
     return (p, e) if q == 1 else None
+
+
+@lru_cache(maxsize=None)
+def addition_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(add, neg) of GF(q) from the definition, not from GF: with a read as
+    its base-p digits (a_0 least significant, the element encoding of GF),
+    add[a][b] adds the digits of a and b mod p and neg[a] negates those of
+    a.  Built once per q."""
+    p, e = prime_power_by_trial_division(q)
+    digits = [[a // p**j % p for j in range(e)] for a in range(q)]
+
+    def element(ds) -> int:
+        return sum(d * p**j for j, d in enumerate(ds))
+
+    add = tuple(tuple(element((x + y) % p for x, y in zip(da, db)) for db in digits)
+                for da in digits)
+    return add, tuple(element(-x % p for x in da) for da in digits)
 
 
 def elimination_width(g: Graph, order) -> int:
@@ -195,6 +214,7 @@ def rref_gauss_jordan(field: GF, rows: list[list[int]]) -> tuple[list[list[int]]
     """In-place Gaussian elimination to RREF; returns (nonzero rows, pivots).
     Column by column, one field call per entry (the package's elimination
     before it reduced rows through the field tables)."""
+    add, neg = addition_tables(field.q)
     m, n = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -210,7 +230,7 @@ def rref_gauss_jordan(field: GF, rows: list[list[int]]) -> tuple[list[list[int]]
         for i in range(m):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [add[x][neg[field.mul(f, y)]] for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -224,13 +244,14 @@ def perp_by_null_space(field: GF, n: int, rows) -> tuple[list[list[int]], list[i
     c with 1 at c and -row_i[c] at pivot column i, reduced again; one field
     call per entry (the package's perp before it packed vectors)."""
     basis, pivots = rref_gauss_jordan(field, [list(r) for r in rows]) if rows else ([], [])
+    neg = addition_tables(field.q)[1]
     null = []
     for c in range(n):
         if c not in pivots:
             vec = [0] * n
             vec[c] = 1
             for row, p in zip(basis, pivots):
-                vec[p] = field.neg(row[c])
+                vec[p] = neg[row[c]]
             null.append(vec)
     return rref_gauss_jordan(field, null) if null else ([], [])
 
@@ -239,9 +260,10 @@ def span_set(field: GF, n: int, rows) -> set[tuple[int, ...]]:
     """Every vector of F_q^n in the span of rows: starting from the zero
     vector, each row adds all its multiples to every vector so far, one
     field call per entry.  q^rank vectors; only for tiny q^n."""
+    add = addition_tables(field.q)[0]
     span = {(0,) * n}
     for row in rows:
-        span = {tuple(field.add(x, field.mul(c, y)) for x, y in zip(vec, row))
+        span = {tuple(add[x][field.mul(c, y)] for x, y in zip(vec, row))
                 for vec in span for c in field.elements}
     return span
 

@@ -75,3 +75,14 @@ def test_no_float_arithmetic_in_formula_paths():
         or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
     ]
     assert found == []
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10; newer syntax (except*,
+    # PEP 695 generics) would break that floor without failing on 3.11+
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources found under {SRC}"
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

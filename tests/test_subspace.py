@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from bruteforce import perp_by_null_space, rref_gauss_jordan, span_set, subspaces_by_span_dedup
+from bruteforce import (
+    addition_tables,
+    perp_by_null_space,
+    rref_gauss_jordan,
+    span_set,
+    subspaces_by_span_dedup,
+)
 from qkneser.errors import AmbientMismatchError, EmptyMatrixError, NotPrimePowerError, TooLargeError
 from qkneser.errors import UnsupportedFieldError
 from qkneser.gf import GF, make_field
@@ -73,6 +79,7 @@ def test_rows_outside_the_field_rejected(q, rows):
 def _oracle_rows(rng, field, n: int, m: int) -> list[list[int]]:
     """m rows of F_q^n: random ones, zero rows, repeats and combinations of
     earlier rows, so that the rank is often below m."""
+    add = addition_tables(field.q)[0]
     rows = []
     for _ in range(m):
         kind = rng.randrange(5)
@@ -83,7 +90,7 @@ def _oracle_rows(rng, field, n: int, m: int) -> list[list[int]]:
         elif kind == 2 and rows:
             a, b = rng.choice(rows), rng.choice(rows)
             c = rng.randrange(field.q)
-            rows.append([field.add(x, field.mul(c, y)) for x, y in zip(a, b)])
+            rows.append([add[x][field.mul(c, y)] for x, y in zip(a, b)])
         else:
             rows.append([rng.randrange(field.q) for _ in range(n)])
     return rows
@@ -132,6 +139,7 @@ def test_kernel_matches_gauss_jordan_and_span_oracles():
                                    (2, 4, 4), (5, 2, 1)])
 def test_perp_is_the_orthogonal_complement(q, n, k):
     field = make_field(q)
+    add = addition_tables(q)[0]
     for s in enumerate_subspaces(field, n, k):
         perp = s.perp()
         assert s.k + perp.k == n
@@ -139,7 +147,7 @@ def test_perp_is_the_orthogonal_complement(q, n, k):
             for w in perp.basis:
                 dot = 0
                 for x, y in zip(u, w):
-                    dot = field.add(dot, field.mul(x, y))
+                    dot = add[dot][field.mul(x, y)]
                 assert dot == 0
         assert perp.perp() == s
 
@@ -168,6 +176,7 @@ def test_canonical_form_independent_of_basis_choice():
     rng = random.Random(11)
     for field in (F2, F3, F5):
         q = field.q
+        add = addition_tables(q)[0]
         for _ in range(25):
             n = rng.randrange(2, 6)
             k = rng.randrange(1, n + 1)
@@ -181,8 +190,7 @@ def test_canonical_form_independent_of_basis_choice():
                 if i == j:
                     mixed[i] = [field.mul(c, x) for x in mixed[i]]
                 else:
-                    mixed[i] = [field.add(x, field.mul(c, y))
-                                for x, y in zip(mixed[i], mixed[j])]
+                    mixed[i] = [add[x][field.mul(c, y)] for x, y in zip(mixed[i], mixed[j])]
             rng.shuffle(mixed)
             assert canonicalize(field, mixed) == s
 
@@ -279,10 +287,9 @@ def test_subspace_is_immutable_and_copies_keep_its_layout():
             setattr(s, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(s, name)
-    # derived values and new names refuse too: AttributeError, or the
-    # TypeError that a frozen slots dataclass raises on CPython 3.11
+    # derived values and new names refuse the same way
     for name in ("field", "n", "k", "basis", "other"):
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, name, None)
     assert (s.field, s.n, s.k) == (F3, 4, 2)
     for other in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
@@ -362,7 +369,9 @@ def _lane_edge_vectors(field, n: int) -> list[list[int]]:
 @pytest.mark.parametrize("field", FIELDS_TO_27, ids=lambda f: f"q{f.q}")
 def test_lane_arithmetic_matches_field_tables(field):
     """pack/unpack, add, sub and scale on packed vectors equal the same
-    operation entry by entry through the field's add and mul."""
+    operation entry by entry: scale through the field's mul, add and sub
+    through the digit-wise oracle."""
+    add, neg = addition_tables(field.q)
     rng = random.Random(field.q)
     for n in range(1, 7):
         lay = lanes(field, n)
@@ -375,8 +384,8 @@ def test_lane_arithmetic_matches_field_tables(field):
                 assert lay.unpack(lay.scale(x, c)) == tuple(field.mul(c, v) for v in a)
             for b in vecs[:5] + [rng.choice(vecs)]:
                 y = lay.pack(b)
-                assert lay.unpack(lay.add(x, y)) == tuple(map(field.add, a, b))
-                assert lay.unpack(lay.sub(x, y)) == tuple(map(field.sub, a, b))
+                assert lay.unpack(lay.add(x, y)) == tuple(add[u][v] for u, v in zip(a, b))
+                assert lay.unpack(lay.sub(x, y)) == tuple(add[u][neg[v]] for u, v in zip(a, b))
 
 
 @pytest.mark.parametrize("field", FIELDS_TO_27, ids=lambda f: f"q{f.q}")
@@ -386,6 +395,7 @@ def test_packed_kernel_matches_tuple_oracles(field):
     sets, on seeded matrices with n <= 6, lane edge rows included."""
     rng = random.Random(1000 + field.q)
     q = field.q
+    add = addition_tables(q)[0]
     for case in range(40):
         n = 1 + case % 6
         rows = _oracle_rows(rng, field, n, rng.randrange(1, n + 3))
@@ -410,7 +420,7 @@ def test_packed_kernel_matches_tuple_oracles(field):
                 vec = [0] * n
                 for j, row in enumerate(s.basis):
                     c = pos // q**j % q
-                    vec = [field.add(v, field.mul(c, x)) for v, x in zip(vec, row)]
+                    vec = [add[v][field.mul(c, x)] for v, x in zip(vec, row)]
                 expected.append(tuple(vec))
             got = list(map(lanes(field, n).unpack, s.vectors()))
             assert got == expected
