@@ -143,7 +143,7 @@ def cmd_solve(args):
         ok = _certifies(g, r.decomposition, r.value)
         report += [("value", r.value), ("status", r.status),
                    ("lower", r.lower), ("upper", r.upper), ("nodes", r.nodes),
-                   ("memo_hits", r.memo_hits), ("forced", r.forced)]
+                   ("memo_hits", r.memo_hits), ("forced", r.forced), ("kept", r.kept)]
         if args.out:
             write_td(r.decomposition, args.out)
             report.append(("out", args.out))

@@ -178,7 +178,8 @@ def write_td(d: TreeDecomposition, path) -> None:
 def read_td(path) -> TreeDecomposition:
     """Parse a PACE 2017 .td file (UTF-8 text).  A negative count in the
     `s td` line is malformed, and a declared vertex count above
-    graph.VERTEX_LIMIT raises TooLargeError before any bag line is read."""
+    graph.VERTEX_LIMIT raises TooLargeError before any bag line is read.
+    The declared max bag size must be the size of the largest bag."""
     header = None
     bags: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
@@ -222,8 +223,12 @@ def read_td(path) -> TreeDecomposition:
             edges.append((x - 1, y - 1))
     if header is None:
         raise MalformedFileError(f"{path}: missing `s td` line")
-    n_bags, _, n_vertices = header
+    n_bags, max_bag, n_vertices = header
     # bag ids are distinct, so n_bags of them in 1..n_bags are exactly those
     if len(bags) != n_bags or not all(1 <= b <= n_bags for b in bags):
         raise MalformedFileError(f"{path}: expected bag ids 1..{n_bags}")
+    largest = max((b.bit_count() for b in bags.values()), default=0)
+    if largest != max_bag:
+        raise MalformedFileError(
+            f"{path}: `s td` line declares max bag size {max_bag}, largest bag has {largest}")
     return TreeDecomposition(n_vertices, [bags[i] for i in range(1, n_bags + 1)], edges)

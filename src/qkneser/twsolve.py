@@ -7,13 +7,18 @@ number (omega - 1 <= tw) give the static lower bound.  Each level asks a
 depth-first search whether some ordering stays within upper-1: a success
 lowers the upper bound to the width of the ordering found, and the first
 refutation proves the upper bound exact.  All levels share one memo of
-refuted eliminated-vertex sets, which is sound because a set refuted at
-width L is refuted at every width below L; a child found in the memo is
-skipped before its rows are copied.  A simplicial or almost-simplicial
-vertex of small enough degree is eliminated without branching (the safe
-reduction of Bodlaender & Koster, "Safe separators for treewidth", 2006;
-see _decide_width), which keeps every refutation exact.  For graphs known
-to be vertex-transitive the root eliminates vertex 0 only.
+refuted alive-sets, which is sound because a set refuted at width L is
+refuted at every width below L.  The search never branches on the vertices
+of one clique, which it eliminates last: by the clique-last lemma
+(Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
+treewidth", 2012; proof at _decide_width) some optimal ordering ends with
+any given clique, so every refutation stays exact.  At each node a
+candidate whose child is in the memo is skipped first; among the rest, a
+simplicial or almost-simplicial vertex of small enough degree is eliminated
+without branching (the safe reduction of Bodlaender & Koster, "Safe
+separators for treewidth", 2006).  For graphs known to be vertex-transitive
+the root eliminates vertex 0 only, and N(0), a clique below the root, is
+the clique kept.
 
 balanced_separator_search exhaustively looks for a vertex set X of bounded
 size whose removal splits the graph into parts A and B with no A-B edge and
@@ -54,8 +59,9 @@ class SolveResult:
     order: list[int] | None
     decomposition: TreeDecomposition | None
     nodes: int
-    memo_hits: int  # children skipped because their alive-set was refuted
+    memo_hits: int  # candidates skipped because their child was refuted
     forced: int     # nodes cut to one child by the (almost-)simplicial rule
+    kept: int       # size of the clique the search never branches on
     elapsed: float
     # one (width, FOUND or REFUTED, nodes) per decided level, in order
     levels: list[tuple[int, str, int]] = field(default_factory=list)
@@ -189,67 +195,83 @@ def _clique_but_one(rows: list[int], nb: int) -> bool:
 
 
 def _decide_width(rows0: list[int], target: int, failed: set[int], roots: list[int],
-                  budget: Budget) -> list[int] | None:
+                  budget: Budget, keep: int) -> list[int] | None:
     """An ordering whose elimination degrees are all <= target, or None if refuted.
 
     `failed` holds the alive-sets refuted so far and gains every one refuted
     here; a set refuted at some width is refuted at every smaller one, so
-    callers that decide widths in descending order may share it.  A child
-    whose alive-set is in `failed` is skipped before its rows are copied.
-    The root branches only on the vertices in `roots`.  Each node ticks
+    callers that decide widths in descending order may share it.  The root
+    branches only on the vertices in `roots`, which lie outside the mask
+    `keep`; no node below it branches on a vertex of `keep`, and the leaf
+    (at most target + 1 vertices alive) appends whatever is still alive,
+    `keep` last, so an ordering found ends with `keep`.  Each node ticks
     `budget`, which also tallies memo hits and forced nodes.
 
-    A candidate v (deg(v) <= target) whose neighbourhood N(v) is a clique
-    (simplicial), or is a clique once one vertex w is left out (almost
-    simplicial; Bodlaender & Koster, "Safe separators for treewidth", 2006),
-    is eliminated without branching; _clique_but_one finds w.  Eliminating
-    v adds only the edges from w to N(v) - w, so the graph left is the one
+    `keep` must be a clique of every graph below the root.  The clique-last
+    lemma (Bodlaender, Fomin, Koster, Kratsch & Thilikos, "On exact
+    algorithms for treewidth", 2012) makes every refutation exact under this
+    restriction: for any clique W of H, some ordering of width tw(H) ends
+    with W.  A minimal triangulation H' of H with clique number tw(H) + 1 is
+    chordal; if it is not complete it has two non-adjacent simplicial
+    vertices (Dirac), and at most one of them lies in the clique W.
+    Eliminating the other, v, costs deg(v) <= tw(H), keeps W a clique, and
+    leaves a subgraph of the chordal H' - v; repeat.  So an alive-set is
+    refuted under `keep` only if it is refuted outright, and the memo stays
+    sound whatever clique the caller keeps.
+
+    A candidate v (deg(v) <= target) whose child alive - v is in `failed` is
+    skipped first, as a memo hit, before any test of its neighbourhood.
+    Among the others, a v whose neighbourhood N(v) is a clique (simplicial),
+    or is a clique once one vertex w is left out (almost simplicial;
+    Bodlaender & Koster, "Safe separators for treewidth", 2006), is
+    eliminated without branching; _clique_but_one finds w.  Eliminating v
+    adds only the edges from w to N(v) - w, so the graph left is the one
     that contracting vw gives: a minor of the current graph, whose
     treewidth is no larger.  Hence the current graph has width <= target
-    iff the graph left does, since v costs deg(v) <= target; every
-    refutation stays exact, as the shared memo needs.
+    iff the graph left does, since v costs deg(v) <= target.  Skipping such
+    a v on a memo hit is sound too: its child is refuted, so the node is.
 
-    The live vertices travel down twice: as an ascending list, which the
-    scan walks, and as the mask `alive`, which cuts neighbourhoods and keys
-    the memo.
+    The vertices the search may branch on travel down twice: as an
+    ascending list `free`, which the scan walks, and inside the mask
+    `alive`, which also holds `keep`, cuts neighbourhoods and keys the memo.
     """
     order: list[int] = []
 
-    def dfs(rows: list[int], alive: int, live: list[int], scan: list[int]) -> bool:
-        if len(live) <= target + 1:
-            order.extend(live)
+    def dfs(rows: list[int], alive: int, free: list[int], scan: list[int]) -> bool:
+        if alive.bit_count() <= target + 1:
+            order.extend(free + bits(alive & keep))
             return True
         budget.tick()
         cands = []
         for v in scan:
             nb = rows[v] & alive
             if nb.bit_count() <= target:
-                if _clique_but_one(rows, nb):
+                if alive & ~(1 << v) in failed:
+                    budget.memo_hits += 1
+                elif _clique_but_one(rows, nb):
                     budget.forced += 1
                     cands = [(v, nb)]
                     break
-                cands.append((v, nb))
+                else:
+                    cands.append((v, nb))
         for v, nb in cands:
-            rest = alive & ~(1 << v)
-            if rest in failed:
-                budget.memo_hits += 1
-                continue
-            new_rows = list(rows)
+            new_rows = rows.copy()
             mm = nb
             while mm:
                 lo2 = mm & -mm
                 mm ^= lo2
                 new_rows[lo2.bit_length() - 1] |= nb & ~lo2
-            child = live.copy()
+            child = free.copy()
             child.remove(v)
             order.append(v)
-            if dfs(new_rows, rest, child, child):
+            if dfs(new_rows, alive & ~(1 << v), child, child):
                 return True
             order.pop()
         failed.add(alive)
         return False
 
-    return order if dfs(rows0, (1 << len(rows0)) - 1, list(range(len(rows0))), roots) else None
+    free = [v for v in range(len(rows0)) if not keep >> v & 1]
+    return order if dfs(rows0, (1 << len(rows0)) - 1, free, roots) else None
 
 
 def treewidth_exact(g: Graph, node_budget: int | None = None,
@@ -264,14 +286,22 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     lower = upper.  One refutation memo serves every level, since a set
     refuted at width L is refuted below L too.  `levels` records each
     decision as (width, "found" or "refuted", nodes); `memo_hits` counts
-    children skipped as already refuted and `forced` the nodes that the
-    (almost-)simplicial rule cut to one child.
+    candidates skipped because their child was already refuted, a check
+    made before the (almost-)simplicial test, and `forced` the nodes that
+    this rule cut to one child among the candidates left.
+
+    The search never branches on the clique `keep`, whose size is `kept`:
+    the members of one max_clique call, whose result is a clique even when
+    its budget cuts it short, so any such result is sound.  The static
+    bound's omega still comes from clique_lower_bound, a second, separate
+    clique search that the benchmark's tracer wraps to read omega.
 
     vertex_transitive=True lets the root eliminate only vertex 0: some
-    automorphism maps the first vertex of an optimal ordering to 0.  Pass it
-    only for graphs known to be vertex-transitive, such as K_q(n,k,t) built
-    from its parameters (GL(n,q) is transitive on k-subspaces and keeps
-    intersection dimensions); on other graphs the result may be wrong.
+    automorphism maps the first vertex of an optimal ordering to 0.  The
+    clique kept is then N(0), which that elimination makes a clique.  Pass
+    it only for graphs known to be vertex-transitive, such as K_q(n,k,t)
+    built from its parameters (GL(n,q) is transitive on k-subspaces and
+    keeps intersection dimensions); on other graphs the result may be wrong.
 
     node_budget and time_budget make one cliques.Budget for all levels.  A
     run that spends it returns UPPER_BOUND_ONLY with the best ordering
@@ -284,21 +314,26 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     budget = Budget(node_budget, time_budget)
     if n == 0:
         return SolveResult(-1, EXACT, -1, -1, [], TreeDecomposition(0, [0], []),
-                           0, 0, 0, time.monotonic() - budget.start)
+                           0, 0, 0, 0, time.monotonic() - budget.start)
 
     upper, best_order = min_fill_order(g)
     # omega - 1 <= minor-min-width: a clique search cut short leaves `lower` as is
     omega = clique_lower_bound(g, time_budget=budget.deadline - time.monotonic())
     lower = max(minor_min_width(g), omega - 1, 0)
+    if vertex_transitive:
+        keep, roots = g.rows[0], [0]
+    else:
+        keep = max_clique(g.rows, node_budget=CLIQUE_NODE_BUDGET,
+                          time_budget=budget.deadline - time.monotonic()).members
+        roots = [v for v in range(n) if not keep >> v & 1]
 
     failed: set[int] = set()
-    roots = [0] if vertex_transitive else list(range(n))
     levels: list[tuple[int, str, int]] = []
     status = EXACT
     try:
         while lower < upper:
             before = budget.nodes
-            attempt = _decide_width(g.rows, upper - 1, failed, roots, budget)
+            attempt = _decide_width(g.rows, upper - 1, failed, roots, budget, keep)
             levels.append((upper - 1, REFUTED if attempt is None else FOUND, budget.nodes - before))
             if attempt is None:
                 lower = upper
@@ -310,7 +345,8 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     elapsed = time.monotonic() - budget.start
     decomposition = decomposition_from_order(g, best_order)
     return SolveResult(upper, status, lower, upper, best_order, decomposition,
-                       budget.nodes, budget.memo_hits, budget.forced, elapsed, levels)
+                       budget.nodes, budget.memo_hits, budget.forced, keep.bit_count(),
+                       elapsed, levels)
 
 
 # -- balanced separators ------------------------------------------------------

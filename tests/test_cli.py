@@ -277,6 +277,17 @@ def test_solve_tw_reports_memo_hits_and_forced_after_nodes(capsys):
     assert int(got["memo_hits"]) > 0 and int(got["forced"]) > 0
 
 
+def test_solve_tw_reports_kept_after_forced_and_before_levels(capsys):
+    # K_2(4,2,1) is solved as vertex-transitive: the kept clique is N(0)
+    # once vertex 0 is eliminated, 16 vertices
+    code, out = run(capsys, "solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1",
+                    "--task", "tw")
+    keys = [line.partition("=")[0] for line in out.splitlines()]
+    assert code == 0
+    assert keys[keys.index("forced") + 1:keys.index("levels")] == ["kept"]
+    assert parse(out)["kept"] == "16"
+
+
 def _empty_first_bag(d):
     """The first bag loses its vertices: the first eliminated vertex is in
     no bag."""

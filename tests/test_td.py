@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from qkneser.td import (
 )
 from qkneser.twsolve import decomposition_from_order
 from qkneser.verify import buildable_instances, star_certificate, suite_td, unit_subspace
+
+ARTIFACTS = Path(__file__).resolve().parents[1] / "artifacts"
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +323,24 @@ def test_td_declaring_too_many_vertices_is_too_large(tmp_path):
         read_td(path)
     path.write_text(f"s td 1 1 {VERTEX_LIMIT}\nb 1 {VERTEX_LIMIT}\n")
     assert read_td(path).bags == [1 << (VERTEX_LIMIT - 1)]
+
+
+def test_td_max_bag_size_must_match_the_largest_bag(tmp_path):
+    path = tmp_path / "size.td"
+    ten = " ".join(str(v) for v in range(1, 11))
+    path.write_text(f"s td 1 2 10\nb 1 {ten}\n")
+    with pytest.raises(MalformedFileError,
+                       match="size.td: `s td` line declares max bag size 2, largest bag has 10"):
+        read_td(path)
+    path.write_text("s td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    with pytest.raises(MalformedFileError, match="max bag size 3, largest bag has 2"):
+        read_td(path)
+    path.write_text(f"s td 1 10 10\nb 1 {ten}\n")
+    assert read_td(path).bags == [(1 << 10) - 1]
+    # the empty decomposition declares 0; the shipped certificate agrees
+    path.write_text("s td 0 0 0\n")
+    assert read_td(path).bags == []
+    assert width(read_td(ARTIFACTS / "cograssmann_q2_n4_k2.td")) == 27
 
 
 def test_td_negative_counts_are_malformed(tmp_path):

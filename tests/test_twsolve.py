@@ -218,13 +218,82 @@ def test_almost_simplicial_rule_and_memo_match_subset_dp():
             memo = _OnceOnlyMemo()
             roots = [0] if vt else list(range(n))
             for target in (tw, tw - 1):
-                order = twsolve._decide_width(g.rows, target, memo, roots, stats)
+                order = twsolve._decide_width(g.rows, target, memo, roots, stats, keep=0)
                 assert (order is not None) == (target == tw), (g.rows, vt, target)
                 if order is not None:
                     assert sorted(order) == list(range(n))
                     assert elimination_width(g, order) <= target
     # the corpus exercises both the rule and the memo
     assert stats.forced > 0 and stats.memo_hits > 0
+
+
+def _cliques_to_keep(g, rng):
+    """Cliques W of g: empty, one vertex, one edge, a greedy maximal clique
+    from a random start and a maximum clique."""
+    n = g.n_vertices
+    out = [0, 1 << rng.randrange(n)]
+    edges = [(u, v) for u, v in combinations(range(n), 2) if g.rows[u] >> v & 1]
+    if edges:
+        u, v = rng.choice(edges)
+        out.append(1 << u | 1 << v)
+    maximal, cand = 0, (1 << n) - 1
+    for v in rng.sample(range(n), n):
+        if cand >> v & 1:
+            maximal |= 1 << v
+            cand &= g.rows[v]
+    maximum = max_clique(g.rows).members
+    assert maximum.bit_count() == max_clique_brute(g)
+    return out + [maximal, maximum]
+
+
+def test_kept_clique_comes_last_and_keeps_refutations_exact():
+    # the clique-last lemma: for every clique W some ordering of width tw
+    # ends with W, so a search that never branches on W finds one at tw and
+    # still refutes tw - 1, sharing one memo as treewidth_exact does
+    rng = random.Random(20261020)
+    stats = Budget()
+    kept_sizes = set()
+    for seed in range(200):
+        n = 1 + seed % 12
+        g = random_graph(n, (seed % 9 + 1) / 10, 11000 + seed)
+        tw = tw_by_subset_dp(g)
+        for keep in _cliques_to_keep(g, rng):
+            assert _is_clique(g.rows, keep)
+            kept_sizes.add(keep.bit_count())
+            memo = _OnceOnlyMemo()
+            roots = [v for v in range(n) if not keep >> v & 1]
+            order = twsolve._decide_width(g.rows, tw, memo, roots, stats, keep=keep)
+            assert order is not None and sorted(order) == list(range(n)), (seed, keep)
+            assert elimination_width(g, order) <= tw, (seed, keep)
+            tail = order[n - keep.bit_count():]
+            assert sum(1 << v for v in tail) == keep, (seed, keep, order)
+            assert twsolve._decide_width(g.rows, tw - 1, memo, roots, stats, keep=keep) is None
+    assert max(kept_sizes) >= 5 and stats.memo_hits > 0 and stats.forced > 0
+
+
+def _circulant(m, steps):
+    return Graph.from_edges(m, [(i, (i + s) % m) for i in range(m) for s in steps])
+
+
+def test_vertex_transitive_search_matches_subset_dp_on_circulants():
+    # the root eliminates vertex 0 and keeps N(0), a clique below the root
+    rng = random.Random(20261021)
+    for m in range(3, 14):
+        for _ in range(5):
+            steps = rng.sample(range(1, m // 2 + 1), rng.randint(1, max(1, m // 3)))
+            g = _circulant(m, steps)
+            r = treewidth_exact(g, vertex_transitive=True)
+            assert r.status == EXACT and r.value == tw_by_subset_dp(g), (m, steps)
+            assert r.kept == g.rows[0].bit_count()
+            assert validate(g, r.decomposition).valid
+            _check_levels(g, r)
+
+
+def test_kept_is_a_maximum_clique_unless_vertex_transitive():
+    for g in (petersen_graph(), grid_graph(3, 4), random_graph(12, 0.5, 3)):
+        assert treewidth_exact(g).kept == clique_lower_bound(g)
+    assert treewidth_exact(petersen_graph(), vertex_transitive=True).kept == 3
+    assert treewidth_exact(Graph.from_edges(0, [])).kept == 0
 
 
 def test_grids_are_refuted_within_a_small_node_budget():
@@ -238,12 +307,24 @@ def test_grids_are_refuted_within_a_small_node_budget():
 
 
 def test_node_ceiling_on_the_sparse_exact_workload_graph():
-    # G(28, 0.3) of the benchmark's exact workload: 13,820 nodes with the
-    # rule (30,160 without)
+    # G(28, 0.3) of the benchmark's exact workload: 7,014 nodes with the
+    # kept clique and the memo checked first, 13,820 with the rule alone
+    # (30,160 without it)
     r = treewidth_exact(random_graph(28, 0.3, 28300))
     assert r.status == EXACT and r.value == 14
     assert r.nodes <= 20_000
     assert r.memo_hits > 0 and r.forced > 0
+
+
+def test_node_ceilings_with_the_kept_clique():
+    # the search takes 7,014, 10,784 and 1,001 nodes here; with no kept
+    # clique it takes 16,153, 19,688 and 2,553
+    r = treewidth_exact(random_graph(28, 0.3, 28300))
+    assert r.value == 14 and r.status == EXACT and r.nodes <= 8_000
+    r = treewidth_exact(random_graph(36, 0.5, 36501))
+    assert r.value == 25 and r.status == EXACT and r.nodes <= 12_000
+    r = treewidth_exact(build_qkneser(Params(4, 2, 1, 2)), vertex_transitive=True)
+    assert r.value == 27 and r.status == EXACT and r.nodes <= 1_200
 
 
 # ---------------------------------------------------------------------------
