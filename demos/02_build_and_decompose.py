@@ -45,8 +45,9 @@ d = star_decomposition(g, pencil)
 report = validate(g, d)
 print()
 print(f"Star decomposition: {len(d.bags)} bags, width {width(d)}.")
-print(f"  validator: vertices covered={report.vertices_covered}, "
-      f"edges covered={report.edges_covered}, coherent={report.coherent}")
+print(f"  validator: valid={report.valid}; witnesses, None where the condition holds:")
+print(f"    uncovered vertex {report.uncovered_vertex}, uncovered edge "
+      f"{report.uncovered_edge}, incoherent vertex {report.incoherent_vertex}")
 # t = k-1, so this is the complement Grassmann graph; its exact treewidth
 # |V| - alpha - 1 is met by the construction
 formula = tw_formula_cograssmann(p.n, p.k, p.q)

@@ -39,7 +39,7 @@ from .qcount import (
     tw_formula_qkneser,
     tw_value,
 )
-from .subspace import Subspace, canonicalize, dim_intersection, dim_sum, enumerate_subspaces
+from .subspace import Subspace, canonicalize, enumerate_subspaces
 from .graph import (
     Graph,
     build_cograssmann,

@@ -60,7 +60,10 @@ def nest_family(g: Graph, w_space: Subspace) -> int:
 
 
 def is_independent(g: Graph, members: int) -> bool:
-    """True iff the vertex bitmask induces no edge."""
+    """True iff the vertex bitmask induces no edge.  A negative mask, or one
+    with a bit at or above n_vertices, raises OutOfRangeError."""
+    if members < 0 or members >> g.n_vertices:
+        raise OutOfRangeError(f"vertex mask is not a subset of the {g.n_vertices} vertices")
     return not any(g.rows[v] & members for v in bits(members))
 
 

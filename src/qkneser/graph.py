@@ -48,7 +48,7 @@ from functools import reduce
 from itertools import compress, groupby, islice
 from operator import eq, or_
 
-from .errors import MalformedFileError, TooLargeError
+from .errors import MalformedFileError, OutOfRangeError, TooLargeError
 from .gf import make_field
 from .qcount import Params, alpha_formula, degree_formula, gauss, qkneser_tw
 from .subspace import Subspace, enumerate_subspaces, subspace_keys
@@ -113,20 +113,19 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges) -> "Graph":
+        """The graph on 0..n_vertices-1 with the given (u, v) pairs as its
+        edges; self-loops are dropped, an endpoint outside the range raises
+        OutOfRangeError."""
         rows = [0] * n_vertices
         for u, v in edges:
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise OutOfRangeError(f"edge ({u}, {v}) leaves vertices 0..{n_vertices - 1}")
             if u != v:
                 rows[u] |= 1 << v
         return cls(n_vertices, _symmetrize(rows))
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
-
-    def edges(self):
-        """Yield edges (u, v) with u < v, in ascending order."""
-        for u, row in enumerate(self.rows):
-            for v in bits(row >> (u + 1)):
-                yield u, u + 1 + v
 
     def complement(self) -> "Graph":
         full = (1 << self.n_vertices) - 1

@@ -32,10 +32,9 @@ Lanes(field, n) holds the constants of one layout; lanes() keeps one per
 a d-subspace by the int key that subspace_keys builds from a span.
 
 All row reduction goes through one kernel, _reduce, which contains() runs
-on each row of the other space and _rref (behind canonicalize, dim_sum and
-perp) on each row it adds.  Subspace.basis, the rows as coordinate tuples,
-is a view computed on demand for repr, sort_key and callers that read
-coordinates.
+on each row of the other space and _rref (behind canonicalize and perp) on
+each row it adds.  Subspace.basis, the rows as coordinate tuples, is a
+view computed on demand for repr and callers that read coordinates.
 """
 
 from __future__ import annotations
@@ -172,18 +171,12 @@ class Subspace:
         """The RREF rows as coordinate tuples (computed on each access)."""
         return tuple(map(self.lay.unpack, self.rows))
 
-    def sort_key(self):
-        """Total order matching enumeration order: pivot pattern first,
-        then the basis entries row-major."""
-        return (self.pivot_cols, self.basis)
-
-    def __lt__(self, other: "Subspace") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def contains(self, other: "Subspace") -> bool:
         """True iff other is a subspace of self: each row of other reduces
         to zero against self's RREF rows."""
-        _check_compatible(self, other)
+        if self.lay is not other.lay:  # lanes() keeps one layout per (q, n)
+            raise AmbientMismatchError(f"incompatible subspaces: GF({self.field.q})^{self.n} "
+                                       f"vs GF({other.field.q})^{other.n}")
         for y in other.rows:
             if _reduce(self.lay, self.rows, self.pivot_cols, y):
                 return False
@@ -261,11 +254,12 @@ def _reduce(lay: Lanes, rows, pivots, vec: int) -> int:
     return vec
 
 
-def _rref(lay: Lanes, rows, basis=(), pivots=()) -> tuple[list[int], list[int]]:
-    """RREF rows and pivots of the span of basis (RREF, with pivots) and
-    rows, one row at a time: its residual, scaled to a leading 1, clears
-    its pivot column from the rows with an entry there and goes in by pivot."""
-    basis, pivots = list(basis), list(pivots)
+def _rref(lay: Lanes, rows) -> tuple[list[int], list[int]]:
+    """RREF rows and pivots of the span of rows, one row at a time: its
+    residual, scaled to a leading 1, clears its pivot column from the rows
+    with an entry there and goes in by pivot."""
+    basis: list[int] = []
+    pivots: list[int] = []
     cw, cmask = lay.cw, lay.cmask
     for vec in rows:
         if len(pivots) == lay.n:  # a full-rank basis spans every vector
@@ -307,24 +301,6 @@ def canonicalize(field: GF, rows) -> Subspace:
     lay = lanes(field, n)
     basis, pivots = _rref(lay, map(lay.pack, rows))
     return Subspace(lay, tuple(basis), tuple(pivots))
-
-
-def _check_compatible(a: Subspace, b: Subspace) -> None:
-    if a.lay is not b.lay:  # lanes() keeps one layout per (q, n)
-        raise AmbientMismatchError(
-            f"incompatible subspaces: GF({a.field.q})^{a.n} vs GF({b.field.q})^{b.n}"
-        )
-
-
-def dim_sum(a: Subspace, b: Subspace) -> int:
-    """dim(A + B): the rank of B's rows added to A's RREF rows."""
-    _check_compatible(a, b)
-    return len(_rref(a.lay, b.rows, a.rows, a.pivot_cols)[1])
-
-
-def dim_intersection(a: Subspace, b: Subspace) -> int:
-    """dim(A cap B) = dim A + dim B - dim(A + B)."""
-    return a.k + b.k - dim_sum(a, b)
 
 
 def enumerate_subspaces(field: GF, n: int, k: int, limit: int = ENUMERATION_LIMIT):

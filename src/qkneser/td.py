@@ -40,16 +40,18 @@ class TreeDecomposition:
 
 @dataclass
 class ValidationReport:
-    vertices_covered: bool
+    """The first witness of each violated condition, None where it holds:
+    a vertex in no bag, an edge in no bag, a vertex whose bags are not a
+    subtree.  The decomposition is valid iff all three are None."""
+
     uncovered_vertex: int | None
-    edges_covered: bool
     uncovered_edge: tuple[int, int] | None
-    coherent: bool
     incoherent_vertex: int | None
 
     @property
     def valid(self) -> bool:
-        return self.vertices_covered and self.edges_covered and self.coherent
+        return (self.uncovered_vertex is None and self.uncovered_edge is None
+                and self.incoherent_vertex is None)
 
 
 def width(d: TreeDecomposition) -> int:
@@ -90,10 +92,10 @@ def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
     """Check the three decomposition conditions against g, with witnesses.
 
     Raises MalformedTreeError when the bag edges do not form a tree or a
-    bag holds a vertex outside the graph; all other defects are reported,
-    first witness in deterministic order: the lowest uncovered vertex, the
-    first uncovered edge in (u, v) order, the lowest vertex with two or
-    more tops (see the module docstring).
+    bag is negative or holds a vertex outside the graph; all other defects
+    are reported, first witness in deterministic order: the lowest
+    uncovered vertex, the first uncovered edge in (u, v) order, the lowest
+    vertex with two or more tops (see the module docstring).
     """
     parent = _tree_parents(d)
     if d.n_vertices != g.n_vertices:
@@ -108,6 +110,8 @@ def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
         top = bag if up is None else bag & ~d.bags[up]
         twice |= once & top
         once |= top
+    if once < 0:  # a union of ints is negative iff one of them is
+        raise MalformedTreeError("a bag is a negative mask")
     if once.bit_length() > g.n_vertices:
         raise MalformedTreeError(
             f"a bag holds vertex {once.bit_length() - 1}, graph has {g.n_vertices} vertices"
@@ -130,14 +134,7 @@ def validate(g: Graph, d: TreeDecomposition) -> ValidationReport:
             uncovered_edge = (u, u + (miss & -miss).bit_length())
             break
 
-    return ValidationReport(
-        vertices_covered=uncovered_vertex is None,
-        uncovered_vertex=uncovered_vertex,
-        edges_covered=uncovered_edge is None,
-        uncovered_edge=uncovered_edge,
-        coherent=incoherent_vertex is None,
-        incoherent_vertex=incoherent_vertex,
-    )
+    return ValidationReport(uncovered_vertex, uncovered_edge, incoherent_vertex)
 
 
 def star_decomposition(g: Graph, independent: int) -> TreeDecomposition:
@@ -146,7 +143,7 @@ def star_decomposition(g: Graph, independent: int) -> TreeDecomposition:
 
     Width is max(|V| - |I| - 1, max_{v in I} deg(v)); with I empty this
     degenerates to the single full bag.  Raises NotIndependentError when I
-    induces an edge.
+    induces an edge, OutOfRangeError when I is not a set of g's vertices.
     """
     if not is_independent(g, independent):
         raise NotIndependentError("the given vertex set induces an edge")

@@ -8,16 +8,19 @@ one row at a time, pairwise intersection counting, every grouping of
 separator components, per-vertex breadth-first search of a bag tree, a
 one-line-at-a-time .gr reader, a bit-by-bit matrix transpose, trial
 division) that share no code with the solvers and bulk routes they check.
+One exception: the pairwise rank dim_sum stacks two bases through the
+package's row reduction, which rref_gauss_jordan checks; it is the route
+that the builder's keyed pencils replaced, kept to check them.
 """
 
 from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from qkneser.errors import MalformedFileError, TooLargeError
+from qkneser.errors import AmbientMismatchError, MalformedFileError, TooLargeError
 from qkneser.gf import GF
 from qkneser.graph import VERTEX_LIMIT, Graph, edge_count, parse_ints
-from qkneser.subspace import canonicalize
+from qkneser.subspace import Subspace, _rref, canonicalize
 
 
 def prime_power_by_trial_division(q: int) -> tuple[int, int] | None:
@@ -266,6 +269,19 @@ def span_set(field: GF, n: int, rows) -> set[tuple[int, ...]]:
         span = {tuple(add[x][field.mul(c, y)] for x, y in zip(vec, row))
                 for vec in span for c in field.elements}
     return span
+
+
+def dim_sum(a: Subspace, b: Subspace) -> int:
+    """dim(A + B): the rank of A's and B's RREF rows stacked.  Raises
+    AmbientMismatchError unless both lie in one F_q^n."""
+    if a.lay is not b.lay:
+        raise AmbientMismatchError(f"GF({a.field.q})^{a.n} vs GF({b.field.q})^{b.n}")
+    return len(_rref(a.lay, a.rows + b.rows)[1])
+
+
+def dim_intersection(a: Subspace, b: Subspace) -> int:
+    """dim(A cap B) = dim A + dim B - dim(A + B)."""
+    return a.k + b.k - dim_sum(a, b)
 
 
 def vector_masks(labels) -> list[int]:

@@ -7,7 +7,7 @@ pigeonhole inequality at five q=2, t=1 hypothesis-boundary points (n=3k+1,
 
 import time
 
-from bruteforce import tw_by_subset_dp
+from bruteforce import dim_intersection, tw_by_subset_dp
 from qkneser import ekr, twsolve
 from qkneser.families import petersen_graph
 from qkneser.gf import make_field
@@ -25,7 +25,7 @@ from qkneser.qcount import (
     tw_formula_cograssmann,
     tw_formula_qkneser,
 )
-from qkneser.subspace import dim_intersection, enumerate_subspaces
+from qkneser.subspace import enumerate_subspaces
 from qkneser.td import star_decomposition, validate, width
 from qkneser.verify import (
     claims_params,

@@ -83,6 +83,14 @@ def test_is_independent_basics(k2421):
     assert not is_independent(k2421, (1 << u) | (1 << v))
 
 
+@pytest.mark.parametrize("members", [1 << 35, 1 << 40 | 1, -1, -(1 << 34)])
+def test_is_independent_rejects_masks_outside_the_graph(k2421, members):
+    # K_2(4,2,1) has 35 vertices
+    with pytest.raises(OutOfRangeError):
+        is_independent(k2421, members)
+    assert is_independent(k2421, 1 << 34)
+
+
 # ---------------------------------------------------------------------------
 # exact solver
 # ---------------------------------------------------------------------------

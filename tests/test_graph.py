@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from bruteforce import (
+    dim_intersection,
     intersection_dim,
     intersection_histograms,
     pairwise_meets,
@@ -15,7 +16,7 @@ from bruteforce import (
     transpose_bits,
     vector_masks,
 )
-from qkneser.errors import MalformedFileError, NotPrimePowerError, TooLargeError
+from qkneser.errors import MalformedFileError, NotPrimePowerError, OutOfRangeError, TooLargeError
 from qkneser.gf import make_field
 from qkneser.graph import (
     _BATCH_HINT,
@@ -33,7 +34,7 @@ from qkneser.graph import (
     write_gr,
 )
 from qkneser.qcount import Params, degree_formula, gauss, intersect_count
-from qkneser.subspace import dim_intersection, enumerate_subspaces
+from qkneser.subspace import enumerate_subspaces
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +92,8 @@ def test_non_prime_power_rejected_at_build():
 
 
 # ---------------------------------------------------------------------------
-# the pairwise oracle's mask-based dimensions agree with rank-based
-# dim_intersection (dual route)
+# the pairwise oracle's mask-based dimensions agree with the rank-based
+# dim_intersection oracle (dual route)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 3, 2), (2, 5, 3), (4, 3, 2)])
@@ -167,14 +168,21 @@ def test_intersection_histogram_single_vertex():
 
 
 # ---------------------------------------------------------------------------
-# generic graphs and edge iteration
+# generic graphs
 # ---------------------------------------------------------------------------
 
 def test_from_edges_and_edge_iteration():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 1)])
-    assert list(g.edges()) == [(0, 1), (1, 2)]
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 1), (3, 3)])
+    assert g.rows == [0b010, 0b101, 0b010, 0]
     assert edge_count(g) == 2
     assert max_degree(g) == 2 and not is_regular(g)
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, 5), (3, 0), (0, -3), (2, 3)])
+def test_from_edges_rejects_endpoints_outside_the_graph(edge):
+    # a negative u indexes rows from the end; a v >= n sets a bit past the graph
+    with pytest.raises(OutOfRangeError):
+        Graph.from_edges(3, [(0, 1), edge])
 
 
 def test_edge_count_rejects_asymmetric_rows():
@@ -217,7 +225,7 @@ def test_symmetrize_matches_bit_transpose_oracle(n):
 def test_complement():
     g = Graph.from_edges(3, [(0, 1)])
     c = g.complement()
-    assert list(c.edges()) == [(0, 2), (1, 2)]
+    assert c.rows == [0b100, 0b100, 0b011]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +271,7 @@ def test_gr_repeated_edge_line_counts_once(tmp_path):
     path = tmp_path / "dup.gr"
     path.write_text("p tw 3 2\n1 2\n2 3\n1 2\n2 1\n")
     g = read_gr(path)
-    assert list(g.edges()) == [(0, 1), (1, 2)]
+    assert g.rows == [0b010, 0b101, 0b010]
 
 
 @pytest.mark.parametrize("text,lineno", [

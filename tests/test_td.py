@@ -5,9 +5,15 @@ from pathlib import Path
 import pytest
 
 from bruteforce import decomposition_witnesses, uncovered_edges
-from qkneser.cli import main
+from qkneser.cli import _certifies, main
 from qkneser.ekr import point_pencil
-from qkneser.errors import MalformedFileError, MalformedTreeError, NotIndependentError, TooLargeError
+from qkneser.errors import (
+    MalformedFileError,
+    MalformedTreeError,
+    NotIndependentError,
+    OutOfRangeError,
+    TooLargeError,
+)
 from qkneser.families import cycle_graph, path_graph, random_graph
 from qkneser.graph import VERTEX_LIMIT, Graph, build_qkneser, build_qkneser_all_t
 from qkneser.qcount import Params, tw_value
@@ -49,7 +55,7 @@ def test_uncovered_edge_witness():
     d = TreeDecomposition(3, [0b011, 0b100], [(0, 1)])
     report = validate(g, d)
     assert not report.valid
-    assert report.vertices_covered
+    assert report.uncovered_vertex is None and report.incoherent_vertex is None
     assert report.uncovered_edge == (0, 2)
 
 
@@ -93,6 +99,7 @@ def test_uncovered_edge_matches_pairwise_oracle():
         expected = decomposition_witnesses(g, d.bags, d.edges)
         assert (report.uncovered_vertex, report.uncovered_edge,
                 report.incoherent_vertex) == expected
+        assert report.valid == (expected == (None, None, None))
         seen_valid += report.valid
         seen_several += len(uncovered_edges(g, d.bags)) >= 2
         seen_incoherent += expected[2] is not None
@@ -103,7 +110,7 @@ def test_uncovered_vertex_witness():
     g = Graph.from_edges(3, [])
     d = TreeDecomposition(3, [0b001, 0b010], [(0, 1)])
     report = validate(g, d)
-    assert not report.vertices_covered and report.uncovered_vertex == 2
+    assert not report.valid and report.uncovered_vertex == 2
 
 
 def test_incoherent_vertex_witness():
@@ -111,7 +118,7 @@ def test_incoherent_vertex_witness():
     g = Graph.from_edges(2, [])
     d = TreeDecomposition(2, [0b01, 0b10, 0b01], [(0, 1), (1, 2)])
     report = validate(g, d)
-    assert not report.coherent and report.incoherent_vertex == 0
+    assert not report.valid and report.incoherent_vertex == 0
 
 
 def test_malformed_trees_rejected():
@@ -143,6 +150,19 @@ def test_bag_vertex_outside_graph_rejected():
         validate(g, TreeDecomposition(3, [0b111, 0b1 << 40], [(0, 1)]))
 
 
+@pytest.mark.parametrize("bags, edges", [
+    ([-1], []),  # bit_count() reads |-1|: one vertex, width 0
+    ([0b111, -2], [(0, 1)]),
+    ([-8, 0b111], [(1, 0)]),
+])
+def test_negative_bag_rejected(bags, edges):
+    g = Graph.from_edges(3, [(0, 1)])  # one edge: treewidth 1
+    d = TreeDecomposition(3, bags, edges)
+    with pytest.raises(MalformedTreeError, match="negative"):
+        validate(g, d)
+    assert not _certifies(g, d, 0) and not _certifies(g, d, width(d))
+
+
 # ---------------------------------------------------------------------------
 # star decomposition
 # ---------------------------------------------------------------------------
@@ -159,6 +179,12 @@ def test_star_rejects_dependent_sets():
     g = cycle_graph(5)
     with pytest.raises(NotIndependentError):
         star_decomposition(g, 0b00011)
+
+
+@pytest.mark.parametrize("members", [1 << 5, 1 << 7 | 1, -1, -4])
+def test_star_rejects_sets_outside_the_graph(members):
+    with pytest.raises(OutOfRangeError):
+        star_decomposition(cycle_graph(5), members)
 
 
 def test_star_with_empty_set_degenerates():
