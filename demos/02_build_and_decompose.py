@@ -11,8 +11,6 @@ from qkneser import (
     build_qkneser,
     degree_formula,
     edge_count,
-    is_regular,
-    max_degree,
     point_pencil,
     read_gr,
     star_decomposition,
@@ -28,8 +26,9 @@ p = Params(5, 2, 1, 2)
 g = build_qkneser(p)
 print(f"K_2(5,2,1): {g.n_vertices} vertices (2-subspaces of F_2^5 in a fixed")
 print("canonical order), edges between subspaces meeting only in 0.")
-print(f"  regular: {is_regular(g)}, degree {max_degree(g)} "
-      f"(formula: {degree_formula(p)}), edges {edge_count(g)}")
+degrees = {r.bit_count() for r in g.rows}
+print(f"  vertex degrees {sorted(degrees)} (formula: {degree_formula(p)}), "
+      f"edges {edge_count(g)}")
 
 print()
 print("Vertices are labeled subspaces; vertex 0 is", g.labels[0])

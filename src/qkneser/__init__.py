@@ -46,8 +46,6 @@ from .graph import (
     build_qkneser,
     build_qkneser_all_t,
     edge_count,
-    is_regular,
-    max_degree,
     read_gr,
     write_gr,
 )

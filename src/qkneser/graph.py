@@ -43,7 +43,7 @@ bytes), a read holds the transpose, padded to a power-of-two order N < 2n
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import KW_ONLY, dataclass, field as dc_field
 from functools import reduce
 from itertools import compress, groupby, islice
 from operator import eq, or_
@@ -98,18 +98,23 @@ def parse_ints(tokens, path, lineno: int) -> list[int]:
 
 @dataclass
 class Graph:
-    """Simple undirected graph over a fixed vertex range.
+    """Simple undirected graph on the vertices 0..len(rows)-1.
 
     rows[u] is the neighbor bitmask of u (bit v set iff uv is an edge);
-    symmetric with zero diagonal.  labels, when present, are the Subspace
-    vertices in enumeration order; meta the Params that built the graph.
+    symmetric with zero diagonal.  rows is the one stored size: n_vertices
+    reads len(rows).  The keyword-only labels, when present, are the
+    Subspace vertices in enumeration order; meta the Params that built it.
     """
 
-    n_vertices: int
     rows: list[int]
+    _: KW_ONLY
     labels: list[Subspace] | None = None
     meta: Params | None = None
     comments: list[str] = dc_field(default_factory=list)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.rows)
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges) -> "Graph":
@@ -122,7 +127,7 @@ class Graph:
                 raise OutOfRangeError(f"edge ({u}, {v}) leaves vertices 0..{n_vertices - 1}")
             if u != v:
                 rows[u] |= 1 << v
-        return cls(n_vertices, _symmetrize(rows))
+        return cls(_symmetrize(rows))
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
@@ -130,13 +135,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = (1 << self.n_vertices) - 1
         rows = [full & ~r & ~(1 << u) for u, r in enumerate(self.rows)]
-        return Graph(self.n_vertices, rows)
-
-
-def max_degree(g: Graph) -> int:
-    if g.n_vertices == 0:
-        return 0
-    return max(r.bit_count() for r in g.rows)
+        return Graph(rows)
 
 
 def edge_count(g: Graph) -> int:
@@ -144,13 +143,6 @@ def edge_count(g: Graph) -> int:
     if twice % 2:
         raise MalformedFileError(f"odd degree sum {twice}: adjacency rows are not symmetric")
     return twice // 2
-
-
-def is_regular(g: Graph) -> bool:
-    if g.n_vertices == 0:
-        return True
-    d = g.rows[0].bit_count()
-    return all(r.bit_count() == d for r in g.rows)
 
 
 def _meet_layers(labels: list[Subspace], dims: list[int]) -> dict[int, list[int]]:
@@ -192,7 +184,7 @@ def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
     labels = list(enumerate_subspaces(make_field(p.q), p.n, p.k, limit))
     ge = _meet_layers(labels, [p.t])[p.t]
     full = (1 << len(labels)) - 1
-    return Graph(len(labels), [full ^ r for r in ge], labels=labels, meta=p)
+    return Graph([full ^ r for r in ge], labels=labels, meta=p)
 
 
 def build_cograssmann(n: int, k: int, q: int) -> Graph:
@@ -218,7 +210,7 @@ def build_qkneser_all_t(n: int, k: int, q: int) -> tuple[dict[int, Graph], list[
         # c[d] = |ge_d[u]| for d = 0..k; only u meets u in dimension k
         c = [nv] + [layers[d][u].bit_count() for d in range(1, k)] + [1]
         hists.append([c[d] - c[d + 1] for d in range(k)] + [1])
-    graphs = {t: Graph(nv, [full ^ r for r in layers.pop(t)], labels=labels,
+    graphs = {t: Graph([full ^ r for r in layers.pop(t)], labels=labels,
                        meta=Params(n, k, t, q))
               for t in range(1, k)}
     return graphs, hists
@@ -304,7 +296,7 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
                 rows[u - 1] |= 1 << (v - 1)
     if n is None:
         raise MalformedFileError(f"{path}: missing `p tw` header")
-    g = Graph(n, _symmetrize(rows), comments=comments)
+    g = Graph(_symmetrize(rows), comments=comments)
     m = edge_count(g)
     if m != declared_m:
         raise MalformedFileError(f"{path}: header declares {declared_m} edges, found {m}")

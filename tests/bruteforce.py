@@ -435,7 +435,7 @@ def read_gr_lines(path, limit: int = VERTEX_LIMIT) -> Graph:
             rows[v - 1] |= 1 << (u - 1)
     if n is None:
         raise MalformedFileError(f"{path}: missing `p tw` header")
-    g = Graph(n, rows, comments=comments)
+    g = Graph(rows, comments=comments)
     m = edge_count(g)
     if m != declared_m:
         raise MalformedFileError(f"{path}: header declares {declared_m} edges, found {m}")

@@ -28,8 +28,6 @@ from qkneser.graph import (
     build_qkneser,
     build_qkneser_all_t,
     edge_count,
-    is_regular,
-    max_degree,
     read_gr,
     write_gr,
 )
@@ -44,13 +42,13 @@ from qkneser.subspace import enumerate_subspaces
 def test_qkneser_4_2_1_2():
     g = build_qkneser(Params(4, 2, 1, 2))
     assert g.n_vertices == 35
-    assert is_regular(g) and max_degree(g) == 16
+    assert {r.bit_count() for r in g.rows} == {16}  # regular of degree 16
     assert edge_count(g) == 35 * 16 // 2 == 280
 
 
 def test_qkneser_5_2_1_2_equals_cograssmann():
     g = build_qkneser(Params(5, 2, 1, 2))
-    assert g.n_vertices == 155 and max_degree(g) == 112
+    assert g.n_vertices == 155 and {r.bit_count() for r in g.rows} == {112}
     h = build_cograssmann(5, 2, 2)
     assert h.rows == g.rows  # k = 2 makes t = 1 = k-1 the same graph
 
@@ -175,7 +173,7 @@ def test_from_edges_and_edge_iteration():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 1), (3, 3)])
     assert g.rows == [0b010, 0b101, 0b010, 0]
     assert edge_count(g) == 2
-    assert max_degree(g) == 2 and not is_regular(g)
+    assert [r.bit_count() for r in g.rows] == [1, 2, 1, 0]
 
 
 @pytest.mark.parametrize("edge", [(-1, 0), (0, 5), (3, 0), (0, -3), (2, 3)])
@@ -185,8 +183,24 @@ def test_from_edges_rejects_endpoints_outside_the_graph(edge):
         Graph.from_edges(3, [(0, 1), edge])
 
 
+def test_rows_are_the_one_stored_size():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(Graph)] == ["rows", "labels", "meta", "comments"]
+    g = Graph([0, 0, 0])
+    assert g.n_vertices == 3 and g.complement().n_vertices == 3
+    with pytest.raises(AttributeError):
+        g.n_vertices = 2
+    # the old (n_vertices, rows) call binds nothing silently: a size that
+    # disagrees with the rows cannot be built
+    with pytest.raises(TypeError):
+        Graph(3, [0, 0])
+    with pytest.raises(TypeError):
+        Graph([0, 0], None)  # labels, meta and comments are keyword-only
+
+
 def test_edge_count_rejects_asymmetric_rows():
-    g = Graph(2, [0b10, 0b00])  # edge 0 -> 1 without its 1 -> 0 twin
+    g = Graph([0b10, 0b00])  # edge 0 -> 1 without its 1 -> 0 twin
     with pytest.raises(MalformedFileError):
         edge_count(g)
 
