@@ -65,7 +65,8 @@ def gauss(a: int, b: int, q: int) -> int:
         raise OutOfRangeError(f"a must be >= 0, got {a}")
     if b < 0 or b > a:
         return 0
-    if b == 0 or b == a:
+    b = min(b, a - b)  # [a,b] = [a,a-b]
+    if b == 0:
         return 1
     num = 1
     den = 1
@@ -155,9 +156,12 @@ def degree_formula(p: Params) -> int:
     """Common vertex degree of K_q(n,k,t) (the graph is vertex-transitive),
     the k-subspaces meeting a fixed one in dimension below t:
 
-        sum_{i=0}^{t-1} q^((k-i)^2) * [n-k, k-i] * [k, i]
+        sum_{i=0}^{t-1} q^((k-i)^2) * [n-k, k-i] * [k, i],
+
+    whose terms below i = 2k-n vanish (two k-subspaces meet in dimension
+    >= 2k-n) and are skipped.
     """
-    return sum(intersect_count(p.n, p.k, p.k, i, p.q) for i in range(p.t))
+    return sum(intersect_count(p.n, p.k, p.k, i, p.q) for i in range(max(0, 2 * p.k - p.n), p.t))
 
 
 def nest_dim(p: Params) -> int:

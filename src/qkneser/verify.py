@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import ekr, families, twsolve
-from .errors import UsageError
+from .errors import TooLargeError, UsageError
 from .gf import make_field
 from .graph import bits, build_cograssmann, build_qkneser, build_qkneser_all_t, gauss
 from .qcount import (
@@ -38,13 +38,13 @@ from .qcount import (
     pigeonhole_bound_holds,
     sweep_records,
     tw_formula_applies,
-    tw_formula_qkneser,
     tw_value,
 )
 from .subspace import canonicalize
 from .td import TreeDecomposition, ValidationReport, star_decomposition, validate, width
 
 SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)  # prime powers; formulas accept any q >= 2
+GRID_LIMIT = 100_000  # points of an identities or claims grid
 
 
 @dataclass
@@ -121,6 +121,23 @@ def buildable_instances() -> list[tuple[int, int, int]]:
     return out
 
 
+def _check_grid(name: str, points: int, grid: str) -> None:
+    """UsageError for an empty grid, TooLargeError for one of more than
+    GRID_LIMIT points: both asked before the grid is built."""
+    if not points:
+        raise UsageError(f"verify {name}: the grid {grid} is empty")
+    if points > GRID_LIMIT:
+        raise TooLargeError(f"verify {name}: the grid {grid} has {points} points, "
+                            f"above the limit {GRID_LIMIT}")
+
+
+def claims_size(qmax: int = 9, nmax: int = 40, kmax: int = 8) -> int:
+    """len(claims_params(qmax, nmax, kmax)), counted without building it:
+    each k contributes k-1 values of t and max(0, nmax-2k+1) of n."""
+    qs = sum(q <= qmax for q in SWEEP_QS)
+    return qs * sum((k - 1) * max(0, nmax - 2 * k + 1) for k in range(2, kmax + 1))
+
+
 def claims_params(qmax: int = 9, nmax: int = 40, kmax: int = 8):
     """The inequality sweep grid: prime-power q <= qmax, 1 <= t < k <= kmax,
     2k <= n <= nmax."""
@@ -137,10 +154,10 @@ def claims_params(qmax: int = 9, nmax: int = 40, kmax: int = 8):
 
 def suite_identities(qmax: int = 9) -> SuiteReport:
     """Gaussian-binomial recurrences and power bounds, exactly, for every
-    integer 2 <= q <= qmax and 1 <= i <= m <= 12.  An empty grid is a
-    UsageError."""
-    if qmax < 2:
-        raise UsageError(f"verify identities: the grid q = 2..{qmax}, m = 1..12 is empty")
+    integer 2 <= q <= qmax and 1 <= i <= m <= 12, 78 (m, i) points per q.
+    An empty grid is a UsageError, one of more than GRID_LIMIT points a
+    TooLargeError."""
+    _check_grid("identities", 78 * max(0, qmax - 1), f"q = 2..{qmax}, m = 1..12")
     rep = SuiteReport("identities")
     for q in range(2, qmax + 1):
         for m in range(1, 13):
@@ -154,16 +171,17 @@ def suite_identities(qmax: int = 9) -> SuiteReport:
 
 
 def suite_claims(qmax: int = 9, nmax: int = 40, out: str | None = None) -> SuiteReport:
-    """Inequality sweep: the t-layer count exceeds alpha for n >= 2k; the
-    pigeonhole bound holds in the treewidth-formula range; and
-    Delta + alpha < |V| at every grid point.  With `out`, writes
-    one qcount.sweep_records line per grid point to that path.  An empty
-    grid is a UsageError, and with `out` counts too long to print a
-    TooLargeError, both raised before `out` is opened."""
+    """Inequality sweep: the t-layer count exceeds alpha for n >= 2k, and
+    Delta + alpha < |V|, at every grid point.  In the treewidth-formula
+    range (where n > 2k) the pigeonhole bound holds, and the U -> U^perp
+    image K_q(n, n-k, t+n-2k) gets the same degree, alpha and treewidth
+    values, read through the n < 2k branches of the formulas.
+    With `out`, writes one qcount.sweep_records line per grid point to that
+    path.  An empty grid is a UsageError; a grid of more than GRID_LIMIT
+    points, and with `out` counts too long to print, a TooLargeError; all
+    raised before the grid is built or `out` is opened."""
+    _check_grid("claims", claims_size(qmax, nmax), f"q <= {qmax}, k <= 8, 2k <= n <= {nmax}")
     grid = claims_params(qmax, nmax)
-    if not grid:
-        raise UsageError(f"verify claims: the grid q <= {qmax}, k <= 8, "
-                         f"2k <= n <= {nmax} is empty")
     if out is not None:
         check_printable(*reversed(grid))  # largest first: a refusal comes at once
     rep = SuiteReport("claims")
@@ -177,11 +195,10 @@ def suite_claims(qmax: int = 9, nmax: int = 40, out: str | None = None) -> Suite
             in_range += 1
             rep.check(pigeonhole_bound_holds(p),
                       f"pigeonhole bound fails at {p}")
-            rep.check(
-                tw_formula_qkneser(p)
-                == gauss(p.n, p.k, p.q) - alpha_formula(p) - 1,
-                f"treewidth formula disagrees with |V| - alpha - 1 at {p}",
-            )
+            dual = Params(p.n, p.n - p.k, p.t + p.n - 2 * p.k, p.q)
+            rep.check(all(f(p) == f(dual) for f in (degree_formula, alpha_formula, tw_value)),
+                      f"degree, alpha or tw differs between {p} and its dual "
+                      f"k={dual.k} t={dual.t}")
     rep.info(f"claims sweep: {rep.checks} checks, {in_range} params in formula range")
     if out is not None:
         with open(out, "w") as fh:

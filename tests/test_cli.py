@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,8 @@ def test_input_error_prints_one_line_without_usage(tmp_path, argv):
     ["verify", "claims", "--qmax", "9", "--nmax", "600", "--out", "{tmp}/records.csv"],
     ["solve", "--gr", "{tmp}/wide.gr", "--task", "tw"],
     ["params", "-q", str(2**521 - 1), "-n", "3", "-k", "2", "-t", "1"],
+    ["verify", "claims", "--qmax", "2", "--nmax", "1800", "--out", "{tmp}/records.csv"],
+    ["verify", "identities", "--qmax", "1000000000"],
 ])
 def test_resource_limit_prints_one_line_without_traceback(tmp_path, argv):
     (tmp_path / "wide.gr").write_text("p tw 65 1\n1 2\n")
@@ -501,6 +504,10 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["solve", "-q", "2", "-n", "240", "-k", "120", "-t", "1"], 3),
     (["build", "-q", "2", "-n", "4000", "-k", "2000", "-t", "1", "--out", "{tmp}/g.gr"], 3),
     (["verify", "claims", "--qmax", "9", "--nmax", "600", "--out", "{tmp}/records.csv"], 3),
+    # grids of more than 100,000 points, refused before they are built
+    (["verify", "claims", "--qmax", "9", "--nmax", "600"], 3),
+    (["verify", "identities", "--qmax", "1284"], 3),
+    (["verify", "claims", "--qmax", "1", "--nmax", "1000000000"], 2),  # empty comes first
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
     (tmp_path / "edge.gr").write_text("p tw 2 1\n1 2\n")
@@ -512,6 +519,45 @@ def test_exit_code_contract(tmp_path, capsys, argv, expected):
     # a usage, input or resource error prints no report
     assert ("command=" in out) == (expected < 2)
     assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["claims", "--nmax", "1000000000"], 195999997844),
+    (["identities", "--qmax", "1000000000"], 77999999922),
+])
+def test_verify_grid_above_the_cap_is_refused_at_once(capsys, argv, points):
+    start = time.monotonic()
+    assert main(["verify", *argv]) == 3
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert f"has {points} points, above the limit 100000" in err
+
+
+def test_verify_grid_below_the_cap_stops_at_the_digit_gate(tmp_path, capsys):
+    # 50,092 points, but [1800,8]_2 has more than 4300 decimal digits
+    assert main(["verify", "claims", "--qmax", "2", "--nmax", "1800",
+                 "--out", str(tmp_path / "records.csv")]) == 3
+    assert "[1800,8]_2 has more than" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suite, checks", [("identities", 1248), ("claims", 16800)])
+def test_default_grids_keep_their_checks(capsys, suite, checks):
+    code, out = run(capsys, "verify", suite)
+    assert parse(out)["checks"] == str(checks)
+    assert code == (1 if suite == "claims" else 0)  # the five pigeonhole failures
+
+
+def test_claims_size_counts_the_grid_it_does_not_build():
+    from qkneser.verify import claims_params, claims_size
+
+    for qmax in (1, 2, 4, 9, 10):
+        for nmax in (-1, 3, 4, 5, 12, 17, 40):
+            for kmax in (2, 5, 8):
+                assert claims_size(qmax, nmax, kmax) == len(claims_params(qmax, nmax, kmax))
+    assert claims_size() == 5684 and claims_size(9, 600) == 115444
 
 
 def test_verify_claims_out_records_the_suite_grid(tmp_path, capsys):

@@ -6,12 +6,13 @@ then through every formula and command that goes through it."""
 
 import pytest
 
+from qkneser import qcount
 from qkneser.cli import main
 from qkneser.ekr import max_independent_set_exact
 from qkneser.graph import build_qkneser, build_qkneser_all_t, edge_count, write_gr
 from qkneser.qcount import (Params, alpha_formula, degree_formula, dual_form, gauss, qkneser_tw,
                             sweep_records, tw_value)
-from qkneser.verify import buildable_instances
+from qkneser.verify import buildable_instances, suite_claims
 
 ROWS = [Params(n, k, t, q) for q, n, k in buildable_instances() for t in range(1, k)]
 
@@ -115,3 +116,17 @@ def test_alpha_of_k2_532_by_the_exact_solver():
     # isomorphic to the pinned K_2(5,2,1), so the search costs the same
     r = max_independent_set_exact(build_qkneser(Params(5, 3, 2, 2)))
     assert r.exact and r.size == 15 == alpha_formula(Params(5, 3, 2, 2))
+
+
+def test_claims_sweep_checks_the_dual_of_every_formula_point(monkeypatch):
+    # each of the 2,716 points with n >= 2t(k-t+1)+k+1 (so n > 2k) is
+    # checked against its image K_q(n, n-k, t+n-2k), which reads the n < 2k
+    # branches: an off-by-one in nest_dim fails every one of them
+    rep = suite_claims()
+    assert rep.checks == 16800
+    assert len(rep.failures) == 5 and all(f.startswith("pigeonhole") for f in rep.failures)
+    monkeypatch.setattr(qcount, "nest_dim", lambda p: min(p.n, 2 * p.k - p.t) - 1)
+    rep = suite_claims()
+    assert rep.checks == 16800
+    assert sum(f.startswith("pigeonhole") for f in rep.failures) == 5
+    assert sum("and its dual" in f for f in rep.failures) == 2716 == len(rep.failures) - 5

@@ -11,7 +11,7 @@ from qkneser.ekr import (
 from qkneser.errors import DimMismatchError, OutOfRangeError
 from qkneser.families import complete_graph, random_graph
 from qkneser.gf import make_field
-from qkneser.graph import build_qkneser
+from qkneser.graph import Graph, build_qkneser
 from qkneser.qcount import Params, alpha_formula, gauss
 from qkneser.subspace import canonicalize, enumerate_subspaces
 from qkneser.verify import unit_subspace
@@ -58,6 +58,14 @@ def test_nest_family(k2421):
     nest63 = nest_family(g63, unit_subspace(2, 6, 4))
     assert nest63.bit_count() == 15 == gauss(4, 3, 2)
     assert is_independent(g63, nest63)
+
+
+def test_families_need_subspace_labels():
+    g = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(OutOfRangeError, match="no subspace labels"):
+        point_pencil(g, unit_subspace(2, 4, 1))
+    with pytest.raises(OutOfRangeError, match="no subspace labels"):
+        nest_family(g, unit_subspace(2, 4, 3))
 
 
 def test_nest_family_requires_n_equals_2k():

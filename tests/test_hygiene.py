@@ -86,3 +86,24 @@ def test_package_parses_as_python_3_10():
     assert files, f"no sources found under {SRC}"
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _names_used(path: Path) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_caller():
+    # reference code that only tests call lives in tests/, not in the
+    # package: each public top-level function and class must be read as a
+    # name somewhere in the package or in bench/*.py (an import in
+    # __init__.py reads no name, and a def is not a use of itself)
+    modules = sorted(SRC.glob("*.py"))
+    used = set().union(*map(_names_used, modules + sorted((SRC.parents[1] / "bench").glob("*.py"))))
+    unused = [f"{path.name}:{node.name}"
+              for path in modules if path.name != "__init__.py"
+              for node in ast.parse(path.read_text(), filename=str(path)).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []

@@ -137,6 +137,20 @@ def test_intersect_count_infeasible_cases_are_zero():
     assert intersect_count(4, 3, 3, 1, 2) == 0  # two 3-subspaces of F^4 meet in dim >= 2
 
 
+@pytest.mark.parametrize("n, j, i", [(4, -1, 2), (4, 5, 2), (4, 2, -1), (4, 2, 5)])
+def test_intersect_count_rejects_dimensions_outside_0_to_n(n, j, i):
+    with pytest.raises(OutOfRangeError):
+        intersect_count(n, j, i, 0, 2)
+
+
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_intersect_count_and_cograssmann_reject_q_below_2(q):
+    with pytest.raises(BadQError):
+        intersect_count(4, 2, 2, 1, q)
+    with pytest.raises(BadQError):
+        tw_formula_cograssmann(5, 2, q)
+
+
 def test_intersect_count_partitions_the_grassmannian():
     for q in (2, 3, 4, 5):
         for n in range(7):

@@ -15,7 +15,7 @@ from bruteforce import (
     subspaces_by_span_dedup,
 )
 from qkneser.errors import AmbientMismatchError, EmptyMatrixError, NotPrimePowerError, TooLargeError
-from qkneser.errors import UnsupportedFieldError
+from qkneser.errors import OutOfRangeError, UnsupportedFieldError
 from qkneser.gf import GF, make_field
 from qkneser.qcount import gauss
 from qkneser.subspace import (
@@ -240,6 +240,11 @@ def test_enumeration_yields_distinct_canonical_subspaces():
 def test_zero_dimensional_space():
     subs = list(enumerate_subspaces(F3, 4, 0))
     assert len(subs) == 1 and subs[0].k == 0 and subs[0].basis == ()
+
+
+def test_enumeration_rejects_k_above_n():
+    with pytest.raises(OutOfRangeError):
+        next(enumerate_subspaces(F2, 3, 4))
 
 
 def test_enumeration_size_guard():

@@ -34,6 +34,7 @@ from qkneser.twsolve import (
     _clique_but_one,
     balanced_separator_search,
     clique_lower_bound,
+    SeparatorWitness,
     decomposition_from_order,
     min_fill_order,
     minor_min_width,
@@ -349,6 +350,13 @@ def test_decomposition_from_order_any_order():
     assert width(d) == elimination_width(g, order)
 
 
+def test_decomposition_from_order_of_the_empty_graph_is_one_empty_bag():
+    g = Graph([])
+    d = decomposition_from_order(g, [])
+    assert (d.n_vertices, d.bags, d.edges) == (0, [0], [])
+    assert validate(g, d).valid and width(d) == -1
+
+
 @pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 10]])
 def test_decomposition_from_order_rejects_non_permutation(order):
     with pytest.raises(MalformedTreeError, match="not a permutation"):
@@ -515,6 +523,19 @@ def test_separator_search_matches_brute_force_on_seeded_random_graphs():
             if w is not None:
                 assert w.separator == oracle[0], (seed, cap)
                 assert _separator_ok(g, w), (seed, cap)
+
+
+@pytest.mark.parametrize("x, a, b", [
+    (0b00100, 0b00111, 0b11000),  # X and A overlap
+    (0b00100, 0b00011, 0b10000),  # vertex 3 is in no part
+    (0b00000, 0b00111, 0b11000),  # the edge 2-3 joins A and B
+    (0b01000, 0b00111, 0b10000),  # |A| = 3 > 2/3 of |A| + |B| = 4
+])
+def test_separator_check_rejects_bad_witnesses(x, a, b):
+    # P_5 = 0-1-2-3-4; X = {2}, A = {0, 1}, B = {3, 4} is the good split
+    g = path_graph(5)
+    assert _separator_ok(g, SeparatorWitness(0b00100, 0b00011, 0b11000))
+    assert not _separator_ok(g, SeparatorWitness(x, a, b))
 
 
 def test_separator_groups_components_largest_first():
