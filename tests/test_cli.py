@@ -409,8 +409,6 @@ def test_input_error_prints_one_line_without_usage(tmp_path, argv):
     ["verify", "claims", "--qmax", "9", "--nmax", "600", "--out", "{tmp}/records.csv"],
     ["solve", "--gr", "{tmp}/wide.gr", "--task", "tw"],
     ["params", "-q", str(2**521 - 1), "-n", "3", "-k", "2", "-t", "1"],
-    ["verify", "claims", "--qmax", "2", "--nmax", "1800", "--out", "{tmp}/records.csv"],
-    ["verify", "identities", "--qmax", "1000000000"],
 ])
 def test_resource_limit_prints_one_line_without_traceback(tmp_path, argv):
     (tmp_path / "wide.gr").write_text("p tw 65 1\n1 2\n")

@@ -31,10 +31,10 @@ from qkneser.twsolve import (
     FOUND,
     REFUTED,
     UPPER_BOUND_ONLY,
+    SeparatorWitness,
     _clique_but_one,
     balanced_separator_search,
     clique_lower_bound,
-    SeparatorWitness,
     decomposition_from_order,
     min_fill_order,
     minor_min_width,
