@@ -136,10 +136,11 @@ def cmd_solve(args):
         source = f"K_{p.q}({p.n},{p.k},{p.t})"
     budget_s = args.budget_ms / 1000.0 if args.budget_ms is not None else None
     report = [("input", source), ("task", args.task), ("vertices", g.n_vertices)]
+    # GL(n,q) acts transitively on the vertices of K_q(n,k,t); a .gr file
+    # makes no such promise
+    vertex_transitive = not args.gr
     if args.task == "tw":
-        # GL(n,q) acts transitively on the vertices of K_q(n,k,t); a .gr
-        # file makes no such promise
-        r = twsolve.treewidth_exact(g, time_budget=budget_s, vertex_transitive=not args.gr)
+        r = twsolve.treewidth_exact(g, time_budget=budget_s, vertex_transitive=vertex_transitive)
         ok = _certifies(g, r.decomposition, r.value)
         report += [("value", r.value), ("status", r.status),
                    ("lower", r.lower), ("upper", r.upper), ("nodes", r.nodes),
@@ -150,7 +151,8 @@ def cmd_solve(args):
         report.append(("levels", ",".join(f"{w}:{verdict}:{nodes}"
                                           for w, verdict, nodes in r.levels) or "none"))
     else:
-        r = ekr.max_independent_set_exact(g, time_budget=budget_s)
+        r = ekr.max_independent_set_exact(g, time_budget=budget_s,
+                                          vertex_transitive=vertex_transitive)
         report += [("value", r.size),
                    ("status", "exact" if r.exact else "lower_bound_only"),
                    ("nodes", r.nodes)]

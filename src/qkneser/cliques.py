@@ -49,15 +49,20 @@ class Budget:
 
 
 def max_clique(rows: list[int], node_budget: int | None = None,
-               time_budget: float | None = None) -> CliqueResult:
-    """Maximum clique of the graph given by neighbor bitmasks."""
+               time_budget: float | None = None, root: int | None = None) -> CliqueResult:
+    """Maximum clique of the graph given by neighbor bitmasks.
+
+    With a root, only the cliques that hold it are searched, and the result
+    holds it: a maximum clique when some maximum clique holds the root, as
+    every vertex's does in a vertex-transitive graph."""
     n = len(rows)
     budget = Budget(node_budget, time_budget)
+    # the greedy seed and the search both grow clique0 from the candidates cand0
+    clique0, cand0 = (0, (1 << n) - 1) if root is None else (1 << root, rows[root])
 
     # greedy seed: highest-degree-first gives an initial lower bound
     order = sorted(range(n), key=lambda v: -rows[v].bit_count())
-    seed = 0
-    cand = (1 << n) - 1
+    seed, cand = clique0, cand0
     for v in order:
         if (cand >> v) & 1:
             seed |= 1 << v
@@ -98,7 +103,7 @@ def max_clique(rows: list[int], node_budget: int | None = None,
     exact = True
     if n:
         try:
-            expand((1 << n) - 1, 0, 0)
+            expand(cand0, clique0, clique0.bit_count())
         except BudgetExhausted:
             exact = False
     return CliqueResult(best, members, exact, budget.nodes, time.monotonic() - budget.start)

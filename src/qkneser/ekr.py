@@ -9,7 +9,7 @@ K_q(n,k,t).  The two extremal constructions are implemented directly:
   (the independence number for n < 2k; at n = 2k the other equality case).
 
 Both families test each label by row reduction (Subspace.contains), not
-through the keyed pencils of graph._meet_layers, so that the independence
+through the keyed pencils of graph._meet_layer, so that the independence
 of a pencil in the built graph checks the builder by a second route.
 
 Vertex sets are bitmasks over the graph's vertex range.  The exact solver
@@ -68,14 +68,21 @@ def is_independent(g: Graph, members: int) -> bool:
 
 
 def max_independent_set_exact(g: Graph, node_budget: int | None = None,
-                              time_budget: float | None = None) -> CliqueResult:
+                              time_budget: float | None = None,
+                              vertex_transitive: bool = False) -> CliqueResult:
     """Exact maximum independent set: the maximum clique of the complement,
     returned as its CliqueResult once its members are checked independent.
+
+    vertex_transitive=True searches only the sets that hold vertex 0, as
+    some maximum set does in a vertex-transitive graph, such as K_q(n,k,t)
+    built from its parameters; on other graphs the size may be too small.
 
     On budget exhaustion the best set found is returned with exact=False;
     an inexact size is a valid lower bound for alpha, never reported as it.
     """
-    r = max_clique(g.complement().rows, node_budget=node_budget, time_budget=time_budget)
+    root = 0 if vertex_transitive and g.n_vertices else None
+    r = max_clique(g.complement().rows, node_budget=node_budget, time_budget=time_budget,
+                   root=root)
     if not is_independent(g, r.members):
         raise NotIndependentError("clique search returned a set that induces an edge")
     return r

@@ -223,14 +223,6 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def __eq__(self, other):
-        if isinstance(other, GF):
-            return self.q == other.q and self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.modulus))
-
     def __repr__(self):
         return f"GF({self.q})"
 

@@ -6,12 +6,12 @@ intersection has dimension < t.  Adjacency is stored as packed bit rows
 (Python ints), which the independent-set and treewidth solvers operate on
 directly.
 
-One code path builds adjacency, _meet_layers: u and v are non-adjacent iff
-they share a t-subspace, so the non-neighbours of u are the union of the
-point pencils of the t-subspaces of u (Subspace.perp when 2k > n), each
-named by its int key from subspace.subspace_keys.  That costs V * [k,t]_q
-big-integer ORs (V * [n-k,t-2k+n]_q on the complement side) instead of one
-intersection test per vertex pair.
+One code path builds adjacency, _kneser_graph over _meet_layer: u and v
+are non-adjacent iff they share a t-subspace, so the non-neighbours of u
+are the union of the point pencils of the t-subspaces of u (Subspace.perp
+when 2k > n), each named by its int key from subspace.subspace_keys.  That
+costs V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q on the complement
+side) per t instead of one intersection test per vertex pair.
 
 _flags is the one way to walk a packed row: one byte per bit, 1 where the
 bit is set, as itertools.compress selectors.  bits() selects the indices
@@ -145,12 +145,12 @@ def edge_count(g: Graph) -> int:
     return twice // 2
 
 
-def _meet_layers(labels: list[Subspace], dims: list[int]) -> dict[int, list[int]]:
-    """{d: ge_d} for each 1 <= d < k in dims, where ge_d[u] is the bitmask
-    of the v with dim(label_u cap label_v) >= d (u itself included).
+def _meet_layer(labels: list[Subspace], d: int) -> list[int]:
+    """ge[u] for each u: the bitmask of the v with dim(label_u cap label_v)
+    >= d (u itself included), for d >= 1.
 
     Two subspaces meet in dimension >= d iff they share a d-subspace T, so
-    ge_d[u] is the union of the pencils pencil[T] = {v : T in label_v} over
+    ge[u] is the union of the pencils pencil[T] = {v : T in label_v} over
     the d-subspaces T of label_u, each T named by its key from
     subspace.subspace_keys.
 
@@ -160,31 +160,28 @@ def _meet_layers(labels: list[Subspace], dims: list[int]) -> dict[int, list[int]
     nv = len(labels)
     n, k = labels[0].n, labels[0].k
     shift = max(0, 2 * k - n)  # every pair meets in dimension >= shift
-    layers = {d: [(1 << nv) - 1] * nv for d in dims if d <= shift}
-    keyed = [d for d in dims if d > shift]
-    if not keyed:
-        return layers
+    if d <= shift:
+        return [(1 << nv) - 1] * nv
     spaces = labels if shift == 0 else [s.perp() for s in labels]
+    members = list(subspace_keys(spaces, d - shift))  # members[u]: u's keys
     pencils: dict[int, int] = {}  # key -> bitmask of the spaces holding it
-    members = [[] for _ in keyed]  # members[i][u]: keys of u's (keyed[i] - shift)-subspaces
-    for u, keys in enumerate(subspace_keys(spaces, [d - shift for d in keyed])):
+    for u, keys in enumerate(members):
         bit = 1 << u
-        for layer_members, layer_keys in zip(members, keys):
-            layer_members.append(layer_keys)
-            for key in layer_keys:
-                pencils[key] = pencils.get(key, 0) | bit
-    for d, layer_members in zip(keyed, members):
-        layers[d] = [reduce(or_, map(pencils.__getitem__, keys)) for keys in layer_members]
-    return layers
+        for key in keys:
+            pencils[key] = pencils.get(key, 0) | bit
+    return [reduce(or_, map(pencils.__getitem__, keys)) for keys in members]
+
+
+def _kneser_graph(labels: list[Subspace], p: Params) -> Graph:
+    """K_q(n,k,t) on labels, the enumerated k-subspaces of F_q^n."""
+    full = (1 << len(labels)) - 1
+    return Graph([full ^ r for r in _meet_layer(labels, p.t)], labels=labels, meta=p)
 
 
 def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
     """Materialize K_q(n,k,t): vertices = k-subspaces of F_q^n, edges where
     dim(intersection) < t.  Fails fast when [n,k]_q exceeds the limit."""
-    labels = list(enumerate_subspaces(make_field(p.q), p.n, p.k, limit))
-    ge = _meet_layers(labels, [p.t])[p.t]
-    full = (1 << len(labels)) - 1
-    return Graph([full ^ r for r in ge], labels=labels, meta=p)
+    return _kneser_graph(list(enumerate_subspaces(make_field(p.q), p.n, p.k, limit)), p)
 
 
 def build_cograssmann(n: int, k: int, q: int) -> Graph:
@@ -193,26 +190,23 @@ def build_cograssmann(n: int, k: int, q: int) -> Graph:
 
 
 def build_qkneser_all_t(n: int, k: int, q: int) -> tuple[dict[int, Graph], list[list[int]]]:
-    """All graphs K_q(n,k,t) for 1 <= t < k from one set of meet layers.
+    """All graphs K_q(n,k,t) for 1 <= t < k on one enumeration.
 
     Returns ({t: Graph}, histograms) where histograms[u][d] counts the
     vertices v (u itself included) with dim(label_u cap label_v) = d.
-    Identical output to per-t build_qkneser calls; the subspaces are
-    enumerated and keyed once for all t.  Fails fast when [n,k]_q exceeds
-    VERTEX_LIMIT.
+    Identical output to per-t build_qkneser calls, but the subspaces are
+    enumerated once, every graph shares the labels, and the histograms are
+    read off the degrees.  Fails fast when [n,k]_q exceeds VERTEX_LIMIT.
     """
     labels = list(enumerate_subspaces(make_field(q), n, k, VERTEX_LIMIT))
     nv = len(labels)
-    full = (1 << nv) - 1
-    layers = _meet_layers(labels, list(range(1, k)))
+    graphs = {t: _kneser_graph(labels, Params(n, k, t, q)) for t in range(1, k)}
     hists = []
     for u in range(nv):
-        # c[d] = |ge_d[u]| for d = 0..k; only u meets u in dimension k
-        c = [nv] + [layers[d][u].bit_count() for d in range(1, k)] + [1]
+        # c[d] = |{v : dim(label_u cap label_v) >= d}|, which is V - deg(u)
+        # in K_q(n,k,d); only u meets u in dimension k
+        c = [nv] + [nv - graphs[d].degree(u) for d in range(1, k)] + [1]
         hists.append([c[d] - c[d + 1] for d in range(k)] + [1])
-    graphs = {t: Graph([full ^ r for r in layers.pop(t)], labels=labels,
-                       meta=Params(n, k, t, q))
-              for t in range(1, k)}
     return graphs, hists
 
 

@@ -29,7 +29,8 @@ per coordinate and a code fits in one.  That is e * (p-1).bit_length()
 products per scaling, and no field table is read per coordinate.
 Lanes(field, n) holds the constants of one layout; lanes() keeps one per
 (q, n).  The packed format is known only to this module: graph.py names
-a d-subspace by the int key that subspace_keys builds from a span.
+the d-subspaces of each vertex, one d per call, by the int keys that
+subspace_keys builds from its span.
 
 All row reduction goes through one kernel, _reduce, which contains() runs
 on each row of the other space and _rref (behind canonicalize and perp) on
@@ -225,21 +226,18 @@ def span_frames(field: GF, k: int, d: int) -> list[tuple[int, ...]]:
             for coeffs in enumerate_subspaces(field, k, d)]
 
 
-def subspace_keys(spaces: list[Subspace], dims: list[int]):
-    """Yield, for each of spaces (k-subspaces of one F_q^n), one list per
-    d in dims: the keys of its d-subspaces, in span_frames order.
+def subspace_keys(spaces: list[Subspace], d: int):
+    """Yield, for each of spaces (k-subspaces of one F_q^n), the keys of
+    its d-subspaces, in span_frames order.
 
     A d-subspace's key is its d packed RREF rows side by side, row j
-    shifted up by j * lay.bits: keys are equal iff the subspaces are, and
-    lie in disjoint ranges for different d, since every row is nonzero.
-    Each space's span is computed once for all d."""
+    shifted up by j * lay.bits: keys are equal iff the subspaces are."""
     first = spaces[0]
-    layers = [span_frames(first.field, first.k, d) for d in dims]
-    shifts = range(0, first.k * first.lay.bits, first.lay.bits)
+    frames = span_frames(first.field, first.k, d)
+    shifts = range(0, d * first.lay.bits, first.lay.bits)
     for s in spaces:
         row = list(s.vectors()).__getitem__
-        yield [[sum(map(lshift, map(row, frame), shifts)) for frame in frames]
-               for frames in layers]
+        yield [sum(map(lshift, map(row, frame), shifts)) for frame in frames]
 
 
 def _reduce(lay: Lanes, rows, pivots, vec: int) -> int:

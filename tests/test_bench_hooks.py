@@ -72,3 +72,10 @@ def test_traced_gr_export_and_mis_solve_read_their_files(tmp_path):
     solved = _run_traced(tmp_path, ["solve", "--gr", str(gr), "--task", "mis"], "solve.json")
     assert solved["graph.read_gr"]["attrs"]["bytes"] == gr.stat().st_size
     assert "ekr.mis" in solved
+
+
+def test_traced_all_t_build_is_not_counted_as_single_builds(tmp_path):
+    """build_qkneser_all_t builds its graphs without calling the public
+    build_qkneser, so a traced verify degrees counts each build once."""
+    spans = _run_traced(tmp_path, ["verify", "degrees"])
+    assert "graph.build_all_t" in spans and "graph.build" not in spans

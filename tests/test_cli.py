@@ -341,22 +341,25 @@ def test_solve_tw_fails_when_its_decomposition_does_not_certify(
 ])
 def test_solve_promises_vertex_transitivity_only_for_built_graphs(
         tmp_path, capsys, monkeypatch, source, promised):
-    from qkneser import twsolve
+    from qkneser import ekr, twsolve
     from qkneser.families import petersen_graph
     from qkneser.graph import write_gr
 
     write_gr(petersen_graph(), tmp_path / "petersen.gr")
     calls = []
-    solve = twsolve.treewidth_exact
 
-    def spy(g, **kwargs):
-        calls.append(kwargs)
-        return solve(g, **kwargs)
+    def spy(solve):
+        def spied(g, **kwargs):
+            calls.append((solve.__name__, kwargs.get("vertex_transitive", False)))
+            return solve(g, **kwargs)
+        return spied
 
-    monkeypatch.setattr(twsolve, "treewidth_exact", spy)
-    code, _ = run(capsys, "solve", *[a.format(tmp=tmp_path) for a in source], "--task", "tw")
-    assert code == 0
-    assert [c.get("vertex_transitive", False) for c in calls] == [promised]
+    monkeypatch.setattr(twsolve, "treewidth_exact", spy(twsolve.treewidth_exact))
+    monkeypatch.setattr(ekr, "max_independent_set_exact", spy(ekr.max_independent_set_exact))
+    for task in ("tw", "mis"):
+        code, _ = run(capsys, "solve", *[a.format(tmp=tmp_path) for a in source], "--task", task)
+        assert code == 0
+    assert calls == [("treewidth_exact", promised), ("max_independent_set_exact", promised)]
 
 
 def test_solve_needs_input():

@@ -8,10 +8,11 @@ from qkneser.ekr import (
     point_pencil,
     write_vertex_set,
 )
+from qkneser.cliques import max_clique
 from qkneser.errors import DimMismatchError, OutOfRangeError
-from qkneser.families import complete_graph, random_graph
+from qkneser.families import complete_graph, petersen_graph, random_graph
 from qkneser.gf import make_field
-from qkneser.graph import Graph, build_qkneser
+from qkneser.graph import Graph, bits, build_qkneser
 from qkneser.qcount import Params, alpha_formula, gauss
 from qkneser.subspace import canonicalize, enumerate_subspaces
 from qkneser.verify import unit_subspace
@@ -120,6 +121,39 @@ def test_mis_budget_exhaustion_is_flagged(k2421):
     assert not r.exact
     assert 1 <= r.size <= 7
     assert is_independent(k2421, r.members)
+
+
+def test_rooted_mis_matches_unrooted_on_vertex_transitive_graphs(k2421):
+    circulants = [Graph.from_edges(m, [(i, (i + s) % m) for i in range(m) for s in steps])
+                  for m in range(3, 14) for steps in ([1], [1, m // 2], range(1, m // 3 + 1))]
+    for g in circulants + [petersen_graph(), k2421, build_qkneser(Params(5, 2, 1, 2))]:
+        plain = max_independent_set_exact(g)
+        rooted = max_independent_set_exact(g, vertex_transitive=True)
+        assert rooted.exact and rooted.size == plain.size
+        assert rooted.members & 1 and rooted.members.bit_count() == rooted.size
+        assert is_independent(g, rooted.members)
+
+
+def test_rooted_clique_search_holds_its_root():
+    # the largest clique through each root, and omega over all roots
+    for seed in range(4):
+        g = random_graph(14, 0.5, seed)
+        omega = max_clique(g.rows).size
+        sizes = []
+        for v in range(14):
+            r = max_clique(g.rows, root=v)
+            assert r.exact and r.members >> v & 1 and r.members.bit_count() == r.size
+            assert all(r.members & ~g.rows[u] == 1 << u for u in bits(r.members))
+            sizes.append(r.size)
+        assert max(sizes) == omega
+
+
+def test_rooted_mis_is_exact_on_k2631():
+    # 1,395 vertices: the unrooted search is still open after 400,000 nodes
+    g = build_qkneser(Params(6, 3, 1, 2))
+    r = max_independent_set_exact(g, node_budget=5_000, vertex_transitive=True)
+    assert r.exact and r.size == 155 == alpha_formula(Params(6, 3, 1, 2))
+    assert is_independent(g, r.members)
 
 
 def test_mis_agrees_with_brute_force_clique_of_complement():

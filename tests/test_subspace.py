@@ -168,7 +168,7 @@ def test_span_frames_pick_each_subspace_once(q, n, k, d):
         picked = [canonicalize(field, [span[i] for i in fr] or [[0] * n]) for fr in frames]
         assert [w.basis for w in picked] == [tuple(span[i] for i in fr) for fr in frames]
         assert set(picked) == {w for w in inside if s.contains(w)}
-        [[keys]] = subspace_keys([s], [d])
+        [keys] = subspace_keys([s], d)
         assert keys == [sum(r << j * bits for j, r in enumerate(w.rows)) for w in picked]
         assert len(set(keys)) == len(frames)
 

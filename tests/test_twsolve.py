@@ -510,6 +510,17 @@ def test_separator_property_on_exact_instances():
         _witness_is_valid(g, w, r.value + 1)
 
 
+def test_suite_separators_finds_a_witness_on_every_corpus_graph(monkeypatch):
+    from qkneser import verify
+
+    rep = verify.suite_separators()
+    assert rep.ok and rep.checks == 73 and rep.failures == []
+    monkeypatch.setattr(twsolve, "balanced_separator_search", lambda g, cap: None)
+    rep = verify.suite_separators()
+    assert not rep.ok and rep.checks == 73 and len(rep.failures) == 73
+    assert rep.failures[0] == "K_1: no separator of order <= tw+1 = 1"
+
+
 def test_separator_search_matches_brute_force_on_seeded_random_graphs():
     # 160 graphs, every cap from 0 to n: the same X as the oracle (or None
     # with it), and a witness that satisfies the suite's own 1/3 - 2/3 check
