@@ -14,16 +14,15 @@ runs out, the best clique found so far is returned flagged as inexact.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-
-@dataclass
-class CliqueResult:
-    size: int
-    members: int  # vertex bitmask
-    exact: bool
-    nodes: int
-    elapsed: float
+CliqueResult = namedtuple("CliqueResult", [
+    "size",
+    "members",  # vertex bitmask
+    "exact",
+    "nodes",
+    "elapsed",
+])
 
 
 class BudgetExhausted(Exception):

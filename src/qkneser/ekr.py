@@ -9,7 +9,7 @@ K_q(n,k,t).  The two extremal constructions are implemented directly:
   (the independence number for n < 2k; at n = 2k the other equality case).
 
 Both families test each label by row reduction (Subspace.contains), not
-through the keyed pencils of graph._meet_layer, so that the independence
+through the keyed pencils of graph._kneser_graph, so that the independence
 of a pencil in the built graph checks the builder by a second route.
 
 Vertex sets are bitmasks over the graph's vertex range.  The exact solver

@@ -6,12 +6,13 @@ intersection has dimension < t.  Adjacency is stored as packed bit rows
 (Python ints), which the independent-set and treewidth solvers operate on
 directly.
 
-One code path builds adjacency, _kneser_graph over _meet_layer: u and v
-are non-adjacent iff they share a t-subspace, so the non-neighbours of u
-are the union of the point pencils of the t-subspaces of u (Subspace.perp
-when 2k > n), each named by its int key from subspace.subspace_keys.  That
-costs V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q on the complement
-side) per t instead of one intersection test per vertex pair.
+One function builds adjacency, _kneser_graph: u and v are non-adjacent
+iff they share a t-subspace, so the non-neighbours of u are the union of
+the point pencils of the t-subspaces of u, each named by its int key from
+subspace.subspace_keys.  For 2k > n it reads the pencils of the
+complements (Subspace.perp) at the t of qcount.dual_form.  That costs
+V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q on the complement side)
+per t instead of one intersection test per vertex pair.
 
 _flags is the one way to walk a packed row: one byte per bit, 1 where the
 bit is set, as itertools.compress selectors.  bits() selects the indices
@@ -43,14 +44,13 @@ bytes), a read holds the transpose, padded to a power-of-two order N < 2n
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import KW_ONLY, dataclass, field as dc_field
 from functools import reduce
 from itertools import compress, groupby, islice
 from operator import eq, or_
 
 from .errors import MalformedFileError, OutOfRangeError, TooLargeError
 from .gf import make_field
-from .qcount import Params, alpha_formula, degree_formula, gauss, qkneser_tw
+from .qcount import Params, alpha_formula, degree_formula, dual_form, gauss, qkneser_tw
 from .subspace import Subspace, enumerate_subspaces, subspace_keys
 
 VERTEX_LIMIT = 5000
@@ -96,7 +96,6 @@ def parse_ints(tokens, path, lineno: int) -> list[int]:
             f"{path}:{lineno}: non-integer token in {' '.join(tokens)!r}") from None
 
 
-@dataclass
 class Graph:
     """Simple undirected graph on the vertices 0..len(rows)-1.
 
@@ -106,11 +105,12 @@ class Graph:
     Subspace vertices in enumeration order; meta the Params that built it.
     """
 
-    rows: list[int]
-    _: KW_ONLY
-    labels: list[Subspace] | None = None
-    meta: Params | None = None
-    comments: list[str] = dc_field(default_factory=list)
+    __slots__ = ("rows", "labels", "meta", "comments")
+
+    def __init__(self, rows: list[int], *, labels: list[Subspace] | None = None,
+                 meta: Params | None = None, comments: list[str] | None = None):
+        self.rows, self.labels, self.meta = rows, labels, meta
+        self.comments = [] if comments is None else comments
 
     @property
     def n_vertices(self) -> int:
@@ -145,37 +145,29 @@ def edge_count(g: Graph) -> int:
     return twice // 2
 
 
-def _meet_layer(labels: list[Subspace], d: int) -> list[int]:
-    """ge[u] for each u: the bitmask of the v with dim(label_u cap label_v)
-    >= d (u itself included), for d >= 1.
+def _kneser_graph(labels: list[Subspace], p: Params) -> Graph:
+    """K_q(n,k,t) on labels, the enumerated k-subspaces of F_q^n.
 
-    Two subspaces meet in dimension >= d iff they share a d-subspace T, so
-    ge[u] is the union of the pencils pencil[T] = {v : T in label_v} over
-    the d-subspaces T of label_u, each T named by its key from
-    subspace.subspace_keys.
-
-    When 2k > n the work moves to the complements (Subspace.perp), of the
-    smaller dimension n-k: dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
+    u and v meet in dimension >= t iff they share a t-subspace T, so the
+    non-neighbours of u (u included) are the union of the pencils
+    pencil[T] = {v : T in label_v} over the t-subspaces T of label_u, each
+    T named by its key from subspace.subspace_keys.  For n < 2k the pencils
+    are read on the complements, of the smaller dimension n-k, at the t of
+    qcount.dual_form, since dim(U^perp cap V^perp) = dim(U cap V) + n - 2k.
     """
-    nv = len(labels)
-    n, k = labels[0].n, labels[0].k
-    shift = max(0, 2 * k - n)  # every pair meets in dimension >= shift
-    if d <= shift:
-        return [(1 << nv) - 1] * nv
-    spaces = labels if shift == 0 else [s.perp() for s in labels]
-    members = list(subspace_keys(spaces, d - shift))  # members[u]: u's keys
+    d = dual_form(p)
+    if d is None:  # every pair meets in dimension >= t
+        return Graph([0] * len(labels), labels=labels, meta=p)
+    spaces = labels if d == p else [s.perp() for s in labels]
+    members = list(subspace_keys(spaces, d.t))  # members[u]: u's keys
     pencils: dict[int, int] = {}  # key -> bitmask of the spaces holding it
     for u, keys in enumerate(members):
         bit = 1 << u
         for key in keys:
             pencils[key] = pencils.get(key, 0) | bit
-    return [reduce(or_, map(pencils.__getitem__, keys)) for keys in members]
-
-
-def _kneser_graph(labels: list[Subspace], p: Params) -> Graph:
-    """K_q(n,k,t) on labels, the enumerated k-subspaces of F_q^n."""
     full = (1 << len(labels)) - 1
-    return Graph([full ^ r for r in _meet_layer(labels, p.t)], labels=labels, meta=p)
+    return Graph([full ^ reduce(or_, map(pencils.__getitem__, keys)) for keys in members],
+                 labels=labels, meta=p)
 
 
 def build_qkneser(p: Params, limit: int = VERTEX_LIMIT) -> Graph:
@@ -253,8 +245,9 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
         while text := fh.read(_BATCH_HINT):
             if text[-1] != "\n":
                 text += fh.readline()  # end the batch with a whole line
-            if n is not None and _bulk_edges(text, id_of, rows):
-                lineno += text.count("\n")
+            lines = text.count("\n")
+            if n is not None and _bulk_edges(text, lines, id_of, rows):
+                lineno += lines
                 continue
             for raw in text.removesuffix("\n").split("\n"):
                 lineno += 1
@@ -297,13 +290,12 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
     return g
 
 
-def _bulk_edges(text: str, id_of: dict[str, int], rows: list[int]) -> bool:
-    """Add a batch of plain "u v" edge lines to rows (bit v - 1 of row
-    u - 1) and return True; or change nothing and return False when the
-    batch holds anything else (a comment, a blank line, other spacing, an
-    id outside 1..n or a self-loop), so that the per-line loop reads it and
-    names any bad line."""
-    lines = text.count("\n")
+def _bulk_edges(text: str, lines: int, id_of: dict[str, int], rows: list[int]) -> bool:
+    """Add a batch of plain "u v" edge lines, `lines` newlines in all, to
+    rows (bit v - 1 of row u - 1) and return True; or change nothing and
+    return False when the batch holds anything else (a comment, a blank
+    line, other spacing, an id outside 1..n or a self-loop), so that the
+    per-line loop reads it and names any bad line."""
     if text[-1] != "\n" or text.translate(_NO_DIGITS) != " \n" * lines:
         return False
     tokens = text.split()

@@ -15,37 +15,30 @@ before any enumeration or printed report.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BadQError, OutOfRangeError, TooLargeError
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "n k t q")):
     """Graph parameters (n, k, t, q) with 1 <= t < k <= n and q >= 2."""
 
-    n: int
-    k: int
-    t: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise BadQError(f"q must be >= 2, got {self.q}")
-        if not (1 <= self.t < self.k <= self.n):
-            raise OutOfRangeError(
-                f"need 1 <= t < k <= n, got n={self.n} k={self.k} t={self.t}"
-            )
+    def __new__(cls, n: int, k: int, t: int, q: int):
+        if q < 2:
+            raise BadQError(f"q must be >= 2, got {q}")
+        if not (1 <= t < k <= n):
+            raise OutOfRangeError(f"need 1 <= t < k <= n, got n={n} k={k} t={t}")
+        return super().__new__(cls, n, k, t, q)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "lower upper")):
     """Inclusive integer bracket [lower, upper] for a value the formulas
     bound but do not pin down exactly."""
 
-    lower: int
-    upper: int
+    __slots__ = ()
 
     def __contains__(self, value: int) -> bool:
         return self.lower <= value <= self.upper

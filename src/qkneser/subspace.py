@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index, lshift, xor
 
 from .errors import AmbientMismatchError, EmptyMatrixError, OutOfRangeError, TooLargeError
@@ -136,24 +136,16 @@ def lanes(field: GF, n: int) -> Lanes:
     return lay
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "lay rows pivot_cols")):
     """A k-dimensional subspace of F_q^n in canonical (RREF) form.
 
     lay is the layout of F_q^n, rows the k RREF rows as packed ints,
     pivot_cols the strictly increasing pivot column indices; field, n and
-    k are read from them.  Instances are immutable and hashable.
+    k are read from them.  A named tuple: immutable and hashable, and a
+    copy or an unpickled value keeps the one layout of its (q, n).
     """
 
-    # by hand: under slots=True, CPython 3.11's frozen __setattr__ raises
-    # TypeError, not FrozenInstanceError, for a name that is not a field
-    __slots__ = ("lay", "rows", "pivot_cols")
-    lay: Lanes
-    rows: tuple[int, ...]
-    pivot_cols: tuple[int, ...]
-
-    def __reduce__(self):  # copy and pickle without the frozen __setattr__
-        return Subspace, (self.lay, self.rows, self.pivot_cols)
+    __slots__ = ()
 
     @property
     def field(self) -> GF:

@@ -20,7 +20,7 @@ Includes a reader/writer for the PACE 2017 .td format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .ekr import is_independent
@@ -28,25 +28,23 @@ from .errors import MalformedFileError, MalformedTreeError, NotIndependentError,
 from .graph import VERTEX_LIMIT, Graph, _flags, bits, open_utf8, parse_ints
 
 
-@dataclass
 class TreeDecomposition:
     """Bags are vertex bitmasks over the underlying graph's range; tree
     edges are 0-indexed bag-id pairs.  n_vertices is the graph's size."""
 
-    n_vertices: int
-    bags: list[int]
-    edges: list[tuple[int, int]]
+    __slots__ = ("n_vertices", "bags", "edges")
+
+    def __init__(self, n_vertices: int, bags: list[int], edges: list[tuple[int, int]]):
+        self.n_vertices, self.bags, self.edges = n_vertices, bags, edges
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport",
+                                  "uncovered_vertex uncovered_edge incoherent_vertex")):
     """The first witness of each violated condition, None where it holds:
     a vertex in no bag, an edge in no bag, a vertex whose bags are not a
     subtree.  The decomposition is valid iff all three are None."""
 
-    uncovered_vertex: int | None
-    uncovered_edge: tuple[int, int] | None
-    incoherent_vertex: int | None
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:

@@ -30,7 +30,7 @@ grouped greedily, largest component first, which is exact for this balance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate, combinations
 from math import comb
 
@@ -50,21 +50,23 @@ FOUND = "found"      # a width level with an ordering that stays within it
 REFUTED = "refuted"  # a width level proven out of reach
 
 
-@dataclass
 class SolveResult:
-    value: int
-    status: str  # EXACT or UPPER_BOUND_ONLY
-    lower: int
-    upper: int
-    order: list[int] | None
-    decomposition: TreeDecomposition | None
-    nodes: int
-    memo_hits: int  # candidates skipped because their child was refuted
-    forced: int     # nodes cut to one child by the (almost-)simplicial rule
-    kept: int       # size of the clique the search never branches on
-    elapsed: float
-    # one (width, FOUND or REFUTED, nodes) per decided level, in order
-    levels: list[tuple[int, str, int]] = field(default_factory=list)
+    """What treewidth_exact found: status is EXACT or UPPER_BOUND_ONLY;
+    memo_hits counts the candidates skipped because their child was
+    refuted, forced the nodes cut to one child by the (almost-)simplicial
+    rule, kept the size of the clique the search never branches on; levels
+    holds one (width, FOUND or REFUTED, nodes) per decided level, in order."""
+
+    __slots__ = ("value", "status", "lower", "upper", "order", "decomposition", "nodes",
+                 "memo_hits", "forced", "kept", "elapsed", "levels")
+
+    def __init__(self, value: int, status: str, lower: int, upper: int, order: list[int],
+                 decomposition: TreeDecomposition, nodes: int, memo_hits: int, forced: int,
+                 kept: int, elapsed: float, levels: list[tuple[int, str, int]]):
+        self.value, self.status, self.lower, self.upper = value, status, lower, upper
+        self.order, self.decomposition, self.nodes = order, decomposition, nodes
+        self.memo_hits, self.forced, self.kept = memo_hits, forced, kept
+        self.elapsed, self.levels = elapsed, levels
 
 
 def min_fill_order(g: Graph) -> tuple[int, list[int]]:
@@ -314,7 +316,7 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
     budget = Budget(node_budget, time_budget)
     if n == 0:
         return SolveResult(-1, EXACT, -1, -1, [], TreeDecomposition(0, [0], []),
-                           0, 0, 0, 0, time.monotonic() - budget.start)
+                           0, 0, 0, 0, time.monotonic() - budget.start, [])
 
     upper, best_order = min_fill_order(g)
     # omega - 1 <= minor-min-width: a clique search cut short leaves `lower` as is
@@ -352,11 +354,11 @@ def treewidth_exact(g: Graph, node_budget: int | None = None,
 # -- balanced separators ------------------------------------------------------
 
 
-@dataclass
-class SeparatorWitness:
-    separator: int  # vertex bitmask X
-    side_a: int     # union of components assigned to A
-    side_b: int     # the remaining components
+SeparatorWitness = namedtuple("SeparatorWitness", [
+    "separator",  # vertex bitmask X
+    "side_a",     # union of components assigned to A
+    "side_b",     # the remaining components
+])
 
 
 def _components(rows: list[int], alive: int) -> list[int]:

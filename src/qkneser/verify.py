@@ -14,9 +14,8 @@ failures to a nonzero exit.
 
 from __future__ import annotations
 
-import inspect
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from . import ekr, families, twsolve
 from .errors import TooLargeError, UsageError
@@ -41,19 +40,19 @@ from .qcount import (
     tw_value,
 )
 from .subspace import canonicalize
-from .td import TreeDecomposition, ValidationReport, star_decomposition, validate, width
+from .td import star_decomposition, validate, width
 
 SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)  # prime powers; formulas accept any q >= 2
 GRID_LIMIT = 100_000  # points of an identities or claims grid
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    ok: bool = True
-    checks: int = 0
-    failures: list[str] = dc_field(default_factory=list)
-    lines: list[str] = dc_field(default_factory=list)
+    __slots__ = ("name", "ok", "checks", "failures", "lines")
+
+    def __init__(self, name: str):
+        self.name, self.ok, self.checks = name, True, 0
+        self.failures: list[str] = []
+        self.lines: list[str] = []
 
     def check(self, passed: bool, message: str) -> None:
         self.checks += 1
@@ -72,21 +71,20 @@ def unit_subspace(q: int, n: int, dim: int):
     return canonicalize(make_field(q), rows or [[0] * n])
 
 
-@dataclass
-class StarCertificate:
-    """The star decomposition of a built K_q(n,k,t) over the point pencil
-    of span{e_1..e_t} (n >= 2k) or the nest of span{e_1..e_m}, m = nest_dim
-    (n < 2k), its validation and its width, against qcount.tw_value."""
-
-    family: int
-    decomposition: TreeDecomposition
-    report: ValidationReport
-    width: int
-    formula: int | Window | None
+# The star decomposition of a built K_q(n,k,t) over the point pencil of
+# span{e_1..e_t} (n >= 2k) or the nest of span{e_1..e_m}, m = nest_dim
+# (n < 2k), its validation and its width, against qcount.tw_value.
+StarCertificate = namedtuple("StarCertificate", [
+    "family",
+    "decomposition",
+    "report",
+    "width",
+    "formula",
     # true/false against an exact value (refuted: validated and below it),
     # within_window/outside_window against a Window, undefined where no
     # formula applies
-    verdict: str
+    "verdict",
+])
 
 
 def star_certificate(g) -> StarCertificate:
@@ -346,7 +344,11 @@ def run_suite(name: str, **options) -> SuiteReport:
     """Run SUITES[name] with the given keyword options; an option the suite
     does not take is a UsageError."""
     suite = SUITES[name]
-    extra = sorted(set(options) - set(inspect.signature(suite).parameters))
-    if extra:
-        raise UsageError(f"verify {name} takes no --{extra[0]}")
+    if options:  # imported here, so that a run without options never loads it
+        import inspect
+
+        # signature() reads a wrapped suite's own parameters via __wrapped__
+        extra = sorted(set(options) - set(inspect.signature(suite).parameters))
+        if extra:
+            raise UsageError(f"verify {name} takes no --{extra[0]}")
     return suite(**options)

@@ -53,6 +53,21 @@ def test_qkneser_5_2_1_2_equals_cograssmann():
     assert h.rows == g.rows  # k = 2 makes t = 1 = k-1 the same graph
 
 
+def test_build_peak_memory_within_two_bit_matrices():
+    # the rows are one V x V bit matrix (V^2/8 bytes); the build may hold at
+    # most one more beside them, so each row is formed once, in one list
+    p = Params(7, 2, 1, 2)
+    build_qkneser(p)  # the first build caches the field and the layout of (q, n)
+    tracemalloc.start()
+    try:
+        g = build_qkneser(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = g.n_vertices
+    assert n == 2667 and peak <= 2 * n * n // 8
+
+
 def test_qkneser_empty_when_all_pairs_intersect():
     g = build_qkneser(Params(3, 2, 1, 2))
     assert g.n_vertices == 7 and edge_count(g) == 0
@@ -184,9 +199,7 @@ def test_from_edges_rejects_endpoints_outside_the_graph(edge):
 
 
 def test_rows_are_the_one_stored_size():
-    import dataclasses
-
-    assert [f.name for f in dataclasses.fields(Graph)] == ["rows", "labels", "meta", "comments"]
+    assert Graph.__slots__ == ("rows", "labels", "meta", "comments")
     g = Graph([0, 0, 0])
     assert g.n_vertices == 3 and g.complement().n_vertices == 3
     with pytest.raises(AttributeError):

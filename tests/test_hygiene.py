@@ -61,6 +61,33 @@ def test_cli_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for its imports: the records are named tuples and
+    # slotted classes, and verify imports inspect only to check an option
+    probe = (
+        "import sys; before = set(sys.modules); import qkneser.cli; "
+        "print(sorted({'qkneser.cli', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout.strip()
+    assert out == "['qkneser.cli']"
+
+
+def test_no_dataclasses_import_in_package():
+    files = sorted(SRC.glob("*.py"))
+    assert files, f"no sources found under {SRC}"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
 # the modules behind the counting formulas, the graphs, the decompositions
 # and the independent-set certificates work in exact integers
 FORMULA_MODULES = ("qcount.py", "gf.py", "subspace.py", "graph.py", "td.py", "ekr.py", "cliques.py")
