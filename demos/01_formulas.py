@@ -2,7 +2,7 @@
 """Counting formulas walkthrough: Gaussian binomials and the closed-form
 degree / independence number / treewidth of generalized q-Kneser graphs."""
 
-from qkneser import (
+from qkneser.qcount import (
     Params,
     Window,
     alpha_formula,

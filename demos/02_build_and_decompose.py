@@ -5,21 +5,10 @@ the treewidth upper bound constructively with a star decomposition."""
 import tempfile
 from pathlib import Path
 
-from qkneser import (
-    Params,
-    alpha_formula,
-    build_qkneser,
-    degree_formula,
-    edge_count,
-    point_pencil,
-    read_gr,
-    star_decomposition,
-    tw_formula_cograssmann,
-    validate,
-    width,
-    write_gr,
-    write_td,
-)
+from qkneser.ekr import point_pencil
+from qkneser.graph import build_qkneser, edge_count, read_gr, write_gr
+from qkneser.qcount import Params, alpha_formula, degree_formula, tw_formula_cograssmann
+from qkneser.td import star_decomposition, validate, width, write_td
 from qkneser.verify import unit_subspace
 
 p = Params(5, 2, 1, 2)

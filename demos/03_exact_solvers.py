@@ -2,20 +2,12 @@
 """Desk-scale exact solvers: maximum independent set, treewidth, and
 balanced separators, cross-checking the closed forms on real graphs."""
 
-from qkneser import (
-    Params,
-    alpha_formula,
-    balanced_separator_search,
-    build_cograssmann,
-    build_qkneser,
-    clique_lower_bound,
-    max_independent_set_exact,
-    treewidth_exact,
-    tw_formula_cograssmann,
-    validate,
-    width,
-)
-from qkneser.families import petersen_graph
+from qkneser.ekr import max_independent_set_exact
+from qkneser.families import complete_graph, grid_graph, petersen_graph
+from qkneser.graph import build_cograssmann, build_qkneser
+from qkneser.qcount import Params, alpha_formula, tw_formula_cograssmann
+from qkneser.td import validate, width
+from qkneser.twsolve import balanced_separator_search, clique_lower_bound, treewidth_exact
 
 print("Exact maximum independent set (bitset branch and bound with a")
 print("greedy-coloring bound, run on the complement):")
@@ -59,8 +51,6 @@ if r.status == "exact":
 print()
 print("Every graph has a 2/3-separator of order <= tw+1; exhaustive search")
 print("finds one (or certifies none) at desk scale:")
-from qkneser.families import complete_graph, grid_graph
-
 for name, graph, cap in (("Petersen", pet, 5), ("3x3 grid", grid_graph(3, 3), 4)):
     wit = balanced_separator_search(graph, cap)
     parts = (wit.side_a.bit_count(), wit.side_b.bit_count())

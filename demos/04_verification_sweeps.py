@@ -3,7 +3,7 @@
 show the sweep-record export.  The claims suite deliberately reports the
 five exact-arithmetic counterexamples it finds (see README)."""
 
-from qkneser import Params, sweep_records
+from qkneser.qcount import Params, sweep_records
 from qkneser.verify import SUITES, claims_params
 
 print("Sweep records are one comma-separated line per parameter point:")

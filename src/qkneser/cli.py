@@ -22,8 +22,8 @@ import time
 from . import ekr, twsolve
 from .errors import MalformedTreeError, QKneserError, TooLargeError, UsageError
 from .gf import factor_prime_power
-from .graph import VERTEX_LIMIT, build_qkneser, edge_count, gauss, read_gr, write_gr
-from .qcount import (Params, Window, alpha_formula, check_printable, degree_formula,
+from .graph import VERTEX_LIMIT, build_qkneser, edge_count, read_gr, write_gr
+from .qcount import (Params, Window, alpha_formula, check_printable, degree_formula, gauss,
                      qkneser_tw, tw_value)
 from .td import validate, width, write_td
 from .verify import SUITES, run_suite, star_certificate

@@ -14,9 +14,10 @@ complements (Subspace.perp) at the t of qcount.dual_form.  That costs
 V * [k,t]_q big-integer ORs (V * [n-k,t-2k+n]_q on the complement side)
 per t instead of one intersection test per vertex pair.
 
-_flags is the one way to walk a packed row: one byte per bit, 1 where the
-bit is set, as itertools.compress selectors.  bits() selects the indices
-of the set bits with it, ascending.
+_flags walks a packed row as compress selectors, one byte per bit; bits()
+and the .gr, .td and .mis writers use it.  Hot loops on sparse masks step
+m & -m inline, O(popcount) where _flags is O(bit_length), and say why:
+cliques.color_order and twsolve's _clique_but_one, _decide_width, _components.
 
 Includes a reader/writer for the PACE 2017 .gr format.  write_gr selects
 each row's precomputed "<v>\n" strings with _flags and joins them behind

@@ -33,6 +33,10 @@ class Params(namedtuple("Params", "n k t q")):
             raise OutOfRangeError(f"need 1 <= t < k <= n, got n={n} k={k} t={t}")
         return super().__new__(cls, n, k, t, q)
 
+    @classmethod
+    def _make(cls, iterable):  # the named tuple's own, which _replace calls, skips __new__
+        return cls(*iterable)
+
 
 class Window(namedtuple("Window", "lower upper")):
     """Inclusive integer bracket [lower, upper] for a value the formulas

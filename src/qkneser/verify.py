@@ -20,7 +20,7 @@ from collections import namedtuple
 from . import ekr, families, twsolve
 from .errors import TooLargeError, UsageError
 from .gf import make_field
-from .graph import bits, build_cograssmann, build_qkneser, build_qkneser_all_t, gauss
+from .graph import Graph, bits, build_cograssmann, build_qkneser, build_qkneser_all_t
 from .qcount import (
     Params,
     Window,
@@ -28,6 +28,7 @@ from .qcount import (
     check_printable,
     degree_formula,
     delta_alpha_below_vertex_count,
+    gauss,
     gauss_at_most,
     gauss_bounds_hold,
     gauss_identities_hold,
@@ -309,7 +310,7 @@ def _separator_ok(g, witness) -> bool:
         and 3 * a.bit_count() <= 2 * r and 3 * b.bit_count() <= 2 * r
 
 
-def corpus() -> list[tuple[str, "families.Graph"]]:
+def corpus() -> list[tuple[str, Graph]]:
     """The solver-validation corpus of 73 graphs: complete graphs to K_12,
     a path and three trees up to 20 vertices, cycles, the 3x3 grid,
     Petersen, and 50 seeded random graphs of 5..9 vertices with mixed

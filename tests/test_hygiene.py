@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qkneser"
@@ -45,17 +46,21 @@ def test_every_raise_names_a_package_error():
     assert found == []
 
 
+@lru_cache(maxsize=None)
+def _loaded_by(module: str) -> tuple[str, ...]:
+    """The modules a fresh interpreter loads to import `module`, sorted."""
+    probe = (f"import sys; before = set(sys.modules); import {module}; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return tuple(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, timeout=60, check=True).stdout.split())
+
+
 def test_cli_imports_only_the_standard_library():
     # the package declares dependencies = []: importing the CLI in a fresh
     # interpreter may load nothing outside the standard library and qkneser
-    probe = (
-        "import sys; before = set(sys.modules); import qkneser.cli; "
-        "print('\\n'.join(sorted(set(sys.modules) - before)))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, timeout=60, check=True).stdout.split()
+    out = _loaded_by("qkneser.cli")
     assert "qkneser.cli" in out
     outside = [m for m in out if m.split(".")[0] not in sys.stdlib_module_names | {"qkneser"}]
     assert outside == []
@@ -64,15 +69,8 @@ def test_cli_imports_only_the_standard_library():
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     # every CLI call pays for its imports: the records are named tuples and
     # slotted classes, and verify imports inspect only to check an option
-    probe = (
-        "import sys; before = set(sys.modules); import qkneser.cli; "
-        "print(sorted({'qkneser.cli', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, timeout=60, check=True).stdout.strip()
-    assert out == "['qkneser.cli']"
+    out = _loaded_by("qkneser.cli")
+    assert sorted({"qkneser.cli", "dataclasses", "inspect"} & set(out)) == ["qkneser.cli"]
 
 
 def test_no_dataclasses_import_in_package():
@@ -124,13 +122,84 @@ def _names_used(path: Path) -> set[str]:
 def test_every_public_name_has_a_caller():
     # reference code that only tests call lives in tests/, not in the
     # package: each public top-level function and class must be read as a
-    # name somewhere in the package or in bench/*.py (an import in
-    # __init__.py reads no name, and a def is not a use of itself)
+    # name somewhere in the package or in bench/*.py (a def is not a use
+    # of itself)
     modules = sorted(SRC.glob("*.py"))
     used = set().union(*map(_names_used, modules + sorted((SRC.parents[1] / "bench").glob("*.py"))))
     unused = [f"{path.name}:{node.name}"
-              for path in modules if path.name != "__init__.py"
+              for path in modules
               for node in ast.parse(path.read_text(), filename=str(path)).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert unused == []
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    # the names a module binds at top level by a def, a class or an
+    # assignment; an import binds none here
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_init_binds_only_the_version():
+    # each name has one import route: from the module that defines it
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    assert _bound_names(tree) == {"__version__"}
+
+
+def test_a_module_loads_only_what_it_imports():
+    # with no re-exports in __init__.py the counting formulas load without
+    # the graph and solver modules; the CLI imports every module itself,
+    # which bench/spans.py relies on when it wraps them after that import
+    loaded = {module: [m for m in _loaded_by(module) if m.partition(".")[0] == "qkneser"]
+              for module in ("qkneser.qcount", "qkneser.cli")}
+    assert loaded["qkneser.qcount"] == ["qkneser", "qkneser.errors", "qkneser.qcount"]
+    assert loaded["qkneser.cli"] == sorted(
+        "qkneser" if path.stem == "__init__" else f"qkneser.{path.stem}"
+        for path in SRC.glob("*.py"))
+
+
+def test_every_import_names_the_defining_module():
+    # `from .graph import gauss` would reach qcount's gauss through graph,
+    # and `from qkneser import Params` through the package root; a name is
+    # imported, or read off an imported module, from the module whose def,
+    # class or assignment binds it.  Checked in the package and in every
+    # script that imports it.
+    root = SRC.parents[1]
+    defined = {path.stem: _bound_names(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    files = sorted(SRC.glob("*.py")) + sorted(
+        path for folder in ("demos", "tests", "bench") for path in (root / folder).glob("*.py"))
+    assert "qcount" in defined and len(files) > len(defined)
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = f"{path.relative_to(root)}:"
+        modules = {}  # local name -> the package module imported under it
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1 and path.parent == SRC:
+                module = node.module or "__init__"
+            elif node.level == 0 and (node.module or "").partition(".")[0] == "qkneser":
+                module = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                if module == "__init__" and alias.name in defined:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name not in defined.get(module, ()):
+                    found.append(f"{where}{node.lineno}: {alias.name} from {module}")
+        found += [f"{where}{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules
+                  and node.attr not in defined[modules[node.value.id]]]
+    assert found == []

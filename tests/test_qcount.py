@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -173,6 +175,20 @@ def test_params_validation():
         Params(2, 3, 1, 2)  # k > n
     with pytest.raises(BadQError):
         Params(4, 2, 1, 1)
+
+
+def test_params_make_and_replace_check_the_range():
+    # _replace builds through _make, which a named tuple does not route
+    # through __new__; both must refuse what the constructor refuses
+    p = Params(7, 2, 1, 2)
+    with pytest.raises(OutOfRangeError):
+        p._replace(t=5)
+    with pytest.raises(BadQError):
+        Params._make((7, 2, 1, 1))
+    assert p._replace(n=8) == Params(8, 2, 1, 2)
+    assert Params._make([7, 2, 1, 2]) == p
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert other == p and type(other) is Params
 
 
 def test_degree_formula_examples():
