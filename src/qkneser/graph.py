@@ -23,17 +23,18 @@ Includes a reader/writer for the PACE 2017 .gr format.  write_gr selects
 each row's precomputed "<v>\n" strings with _flags and joins them behind
 its "<u> " head, with no formatting or index list per edge.  read_gr
 reads UTF-8 text in batches of _BATCH_HINT characters, each completed to
-a line end.  After the header, a batch goes
-to the rows in bulk when deleting its ASCII digits leaves exactly " \n"
-per line, its one split gives two ids per line, each id is a key of the
+a line end.  After a header with n > 0, a batch goes to the rows in bulk
+when deleting its ASCII digits leaves exactly " \n" per line, its one
+split gives two ids per line, each id is a key of the
 {"1": 0, ..., str(n): n - 1} dict (canonical and in range) and no line is
 a self-loop.  Consecutive lines "u v1", "u v2", ... form a run
 (itertools.groupby); each run is scattered into a copy of an n-byte "0"
-row and packed by one int(..., 2).  A batch of short runs, as in a file
-in random order, takes one OR per edge instead.  Every other batch
-(header, comments, blank lines, other spacing, any bad line) goes through
-the per-line loop, the one place that accepts or rejects a line and names
-it by path:lineno; tests/bruteforce.py keeps the per-line reader alone as
+row, packed by one int(..., 2) and ORed into row u - 1 at once.  A batch
+of short runs, as in a file in random order, takes one OR per edge
+instead.  Every other batch (header, comments, blank lines, other
+spacing, any bad line), or one refused after some ORs, goes through the
+per-line loop, the one place that accepts or rejects a line and names it
+by path:lineno; tests/bruteforce.py keeps the per-line reader alone as
 the oracle.  The rows hold each edge in the direction written (bit v - 1
 of row u - 1); after the last line _symmetrize ORs each row with its
 column, taken from one recursive bit-matrix transpose.  Graph.from_edges
@@ -47,7 +48,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import reduce
 from itertools import compress, groupby, islice
-from operator import eq, or_
+from operator import or_
 
 from .errors import MalformedFileError, OutOfRangeError, TooLargeError
 from .gf import make_field
@@ -293,49 +294,46 @@ def read_gr(path, limit: int = VERTEX_LIMIT) -> Graph:
 
 def _bulk_edges(text: str, lines: int, id_of: dict[str, int], rows: list[int]) -> bool:
     """Add a batch of plain "u v" edge lines, `lines` newlines in all, to
-    rows (bit v - 1 of row u - 1) and return True; or change nothing and
-    return False when the batch holds anything else (a comment, a blank
-    line, other spacing, an id outside 1..n or a self-loop), so that the
-    per-line loop reads it and names any bad line."""
-    if text[-1] != "\n" or text.translate(_NO_DIGITS) != " \n" * lines:
+    rows (bit v - 1 of row u - 1) and return True; or return False when
+    the batch holds anything else (a comment, a blank line, other spacing,
+    an id outside 1..n or a self-loop), so that the per-line loop reads it
+    and names any bad line.  Edges ORed in before a refusal are ORed again
+    there, which changes nothing."""
+    n = len(rows)
+    if not n or text[-1] != "\n" or text.translate(_NO_DIGITS) != " \n" * lines:
         return False
     tokens = text.split()
     if len(tokens) != 2 * lines:  # some id is empty
         return False
-    n = len(rows)
     us = tokens[0::2]
+    vs = tokens[1::2]
+    # packing a run costs about as much as n/32 single-bit ORs: a batch
+    # of more runs, as in a file in random order, takes one OR per edge
+    most = 32 * lines // n
+    runs = list(islice(((head, len(list(run))) for head, run in groupby(us)), most + 1))
     try:
-        vs = list(map(id_of.__getitem__, tokens[1::2]))
-        # packing a run costs about as much as n/32 single-bit ORs: a batch
-        # of more runs, as in a file in random order, takes one OR per edge
-        most = 32 * lines // n
-        runs = list(islice(((head, len(list(run))) for head, run in groupby(us)), most + 1))
         if len(runs) > most:
-            us = list(map(id_of.__getitem__, us))
-            if any(map(eq, us, vs)):
-                return False
-            for u, v in zip(us, vs):
+            for u, v in zip(map(id_of.__getitem__, us), map(id_of.__getitem__, vs)):
+                if u == v:
+                    return False
                 rows[u] |= 1 << v
             return True
-        heads = [id_of[head] for head, _ in runs]
+        # each run of lines "u v1", "u v2", ... is scattered into a "0"/"1"
+        # row, least significant bit first, and packed by one int(..., 2)
+        zero = b"0" * n
+        start = 0
+        for head, size in runs:
+            u = id_of[head]
+            row = bytearray(zero)
+            for v in map(id_of.__getitem__, vs[start:start + size]):
+                row[v] = 49
+            start += size
+            mask = int(row[::-1], 2)
+            if mask >> u & 1:
+                return False
+            rows[u] |= mask
     except KeyError:  # outside 1..n, or not in canonical decimal form
         return False
-    # each run of lines "u v1", "u v2", ... is scattered into a "0"/"1" row,
-    # least significant bit first, and packed by one int(..., 2)
-    zero = b"0" * n
-    masks = []
-    start = 0
-    for u, (_, size) in zip(heads, runs):
-        row = bytearray(zero)
-        for v in vs[start:start + size]:
-            row[v] = 49
-        start += size
-        mask = int(row[::-1], 2)
-        if mask >> u & 1:
-            return False
-        masks.append(mask)
-    for u, mask in zip(heads, masks):
-        rows[u] |= mask
     return True
 
 

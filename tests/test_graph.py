@@ -2,6 +2,7 @@ import random
 import re
 import time
 import tracemalloc
+from itertools import groupby
 
 import pytest
 
@@ -16,6 +17,8 @@ from bruteforce import (
     transpose_bits,
     vector_masks,
 )
+from qkneser import graph
+from qkneser.cli import main
 from qkneser.errors import MalformedFileError, NotPrimePowerError, OutOfRangeError, TooLargeError
 from qkneser.gf import make_field
 from qkneser.graph import (
@@ -453,17 +456,21 @@ _RUN_DEFECTS = {
 }
 
 
-def _sorted_gr(rng: random.Random, defect: str | None) -> tuple[str, int, int]:
+def _sorted_gr(rng: random.Random, defect: str | None, behind_a_run: bool) -> tuple[str, int, int]:
     """A .gr text written the way write_gr writes, ascending "u v" lines with
     u < v, so that each vertex's later neighbours form one run of lines.  A
     few hubs among the low ids have runs longer than a batch; twenty
     vertices have runs of 60 to 300 lines; a few hundred sparse edges fill
-    in, and some edges off the hubs are written as "v u".  Returns the text
-    and the character span [start, stop) of the run that carries the
-    defect."""
+    in, and some edges off the hubs are written as "v u".  The defect goes
+    in the last hub's run: in its middle, or, behind_a_run, on its first
+    line, right behind the run of a hub one id lower, so that the batch
+    holding it starts with that run.  Returns the text and the character
+    span [start, stop) of the run that carries the defect."""
     n = rng.randint(2700, 2900)
     edges = set()
     hubs = rng.sample(range(100), rng.randint(2, 4))
+    if behind_a_run:
+        hubs.append(max(hubs) + 1)
     for h in hubs:
         edges.update((min(h, v), max(h, v)) for v in range(n) if v != h and rng.random() < 0.98)
     for u in rng.sample(range(n // 2), 20):
@@ -478,27 +485,55 @@ def _sorted_gr(rng: random.Random, defect: str | None) -> tuple[str, int, int]:
     hub = max(hubs)
     run = [i for i, (u, _) in enumerate(order) if u == hub]
     if defect is not None:
-        at = rng.choice(run[len(run) // 4:-len(run) // 4])
+        at = run[0] if behind_a_run else rng.choice(run[len(run) // 4:-len(run) // 4])
         lines[at] = _RUN_DEFECTS[defect](hub + 1, order[at][1] + 1, n)
     head = [f"c sorted test n={n}", f"p tw {n} {len(edges)}"]
     start = sum(len(line) + 1 for line in head + lines[:run[0]])
     return "\n".join(head + lines) + "\n", start, start + sum(len(lines[i]) + 1 for i in run)
 
 
+def _bulk_calls(monkeypatch) -> list[tuple[bool, bool, str]]:
+    """Wrap graph._bulk_edges: each call appends what it returned, whether
+    it changed the rows, and its batch."""
+    calls = []
+    bulk = graph._bulk_edges
+
+    def recorded(text, lines, id_of, rows):
+        before = rows[:]
+        took = bulk(text, lines, id_of, rows)
+        calls.append((took, rows != before, text))
+        return took
+
+    monkeypatch.setattr(graph, "_bulk_edges", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("defect", [None, *_RUN_DEFECTS])
-def test_read_gr_matches_line_oracle_on_long_sorted_runs(tmp_path, defect):
+def test_read_gr_matches_line_oracle_on_long_sorted_runs(tmp_path, monkeypatch, defect):
     rng = random.Random(f"long runs {defect}")
     path = tmp_path / "runs.gr"
-    for _ in range(3):
-        text, start, stop = _sorted_gr(rng, defect)
+    calls = _bulk_calls(monkeypatch)
+    for behind_a_run in (False, False, False, True, True, True):
+        text, start, stop = _sorted_gr(rng, defect, behind_a_run)
         assert start > _BATCH_HINT and stop - start > _BATCH_HINT
         path.write_bytes(text.encode("utf-8"))
+        calls.clear()
         got = _outcome(read_gr, path, VERTEX_LIMIT)
         assert got == _outcome(read_gr_lines, path, VERTEX_LIMIT)
         if defect in ("self-loop", "out of range", "missing id"):
             assert got[0] is MalformedFileError and re.search(r"runs\.gr:\d+: ", got[1])
         else:
             assert isinstance(got[0], int)
+        # behind a run, a defect that passes the batch's shape check is
+        # refused after the previous hub's run, earlier in the same batch,
+        # is in the rows; a defect the shape check catches is refused
+        # before any edge is ORed
+        refused_late = [batch for took, changed, batch in calls if not took and changed]
+        if defect in ("self-loop", "out of range", "leading zeros"):
+            assert not behind_a_run or (len(refused_late) == 1
+                                        and text[start - 80:start + 80] in refused_late[0])
+        else:
+            assert refused_late == []
 
 
 @pytest.mark.parametrize("tail", ["5 \n34", "5 \n", " 5\n", "5 \n 6\n", "5 6\n\n", "5  6\n"])
@@ -509,6 +544,49 @@ def test_bulk_batches_with_an_empty_id_go_line_by_line(tmp_path, tail):
     path.write_text(text)
     got = _outcome(read_gr, path, VERTEX_LIMIT)
     assert got == _outcome(read_gr_lines, path, VERTEX_LIMIT)
+
+
+def test_edges_under_a_zero_vertex_header_name_the_first_edge_line(tmp_path, capsys):
+    # the comments end the header batch exactly, so the next batch is all
+    # edge lines and reaches the bulk path with n = 0
+    text = "p tw 0 1\n" + "c pad\n" * 2728 + "c xxxx\n"
+    assert len(text) == _BATCH_HINT
+    path = tmp_path / "zero.gr"
+    path.write_text(text + "1 2\n" * 20000)
+    got = _outcome(read_gr, path, VERTEX_LIMIT)
+    assert got == (MalformedFileError, f"{path}:2731: edge out of range '1 2'")
+    assert got == _outcome(read_gr_lines, path, VERTEX_LIMIT)
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--gr", str(path), "--task", "mis"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == f"qkneser: error: {got[1]}\n"
+
+
+def test_exports_and_shuffled_exports_take_the_bulk_path(tmp_path, monkeypatch):
+    # past the header batch, an export's batches of long runs are packed
+    # run by run and a shuffled copy's short runs take one OR per edge;
+    # the per-line loop would read either several times slower
+    g = build_qkneser(Params(6, 2, 1, 2))
+    path = tmp_path / "k.gr"
+    write_gr(g, path)
+    text = path.read_text()
+    cut = text.index("\n", text.index("p tw")) + 1
+    edges = text[cut:].splitlines(keepends=True)
+    random.Random(651).shuffle(edges)
+    shuffled = tmp_path / "shuffled.gr"
+    shuffled.write_text(text[:cut] + "".join(edges))
+    calls = _bulk_calls(monkeypatch)
+    packed = {}  # per batch: few enough runs to be packed run by run
+    for source in (path, shuffled):
+        calls.clear()
+        assert read_gr(source).rows == g.rows
+        assert len(calls) >= 50 and all(took for took, _, _ in calls)
+        packed[source] = [
+            sum(1 for _ in groupby(us)) <= 32 * len(us) // g.n_vertices
+            for us in ([line.partition(" ")[0] for line in batch.splitlines()]
+                       for _, _, batch in calls)]
+    # the export's last batch holds the short runs of the highest ids
+    assert all(packed[path][:-1]) and not any(packed[shuffled])
 
 
 def test_read_gr_peak_memory_within_four_bit_matrices(tmp_path):
