@@ -5,8 +5,11 @@ keeps for (q, n), and the reduced row echelon form (RREF) basis, which is
 unique.  Two values are equal iff they share the layout and the rows, and
 two subspaces are compatible iff their layouts are the same object.
 Enumeration runs over pivot-column patterns in lexicographic order with
-the free entries counted in base q, which is linear in the output size and
-gives the package's canonical vertex numbering.
+the free entries counted in base q, which gives the package's canonical
+vertex numbering.  Each pattern is one right-to-left walk over the gaps
+between its pivots, so its cost is its gaps plus its output.  Ahead of the
+walk, one gate refuses a label of more than LABEL_LIMIT coordinates (k*n)
+before any int of n's size is made: K_q(n,n,t) has one vertex for every n.
 
 Vectors are packed ints (SWAR lanes; Warren, Hacker's Delight, 2nd ed.,
 ch. 2).  For q = p^e, base-p digit j of coordinate i sits in lane i*e + j,
@@ -50,6 +53,7 @@ from .gf import GF
 from .qcount import gauss_at_most
 
 ENUMERATION_LIMIT = 10_000_000
+LABEL_LIMIT = 2**18  # coordinates of one label, k*n: K_q(n,n,t) up to n = 512
 
 
 class Lanes:
@@ -298,25 +302,31 @@ def enumerate_subspaces(field: GF, n: int, k: int, limit: int = ENUMERATION_LIMI
     pivot-column k-sets lexicographically; within a pattern, the free
     entries run through base-q counters in row-major order.
 
-    Each row takes the packed values of its pivot digit plus its free
-    digits, earlier columns counting slower; the rows then run through
-    their product, row 0 slowest, which is the same counter.  Fails fast
-    with TooLargeError when qcount.gauss_at_most finds that [n,k]_q exceeds
-    the limit.
+    One right-to-left pass per pattern: a running list of free-digit rows,
+    from [0], is extended by each free column of the gap after a pivot,
+    the new column counting slower, and the pivot's bit in front of every
+    entry gives that pivot row's choices.  The rows then run through their
+    product, row 0 slowest, which is the same counter, so a pattern costs
+    its gaps plus its output.  Fails fast with TooLargeError when
+    qcount.gauss_at_most finds that [n,k]_q exceeds the limit, or when a
+    label would have more than LABEL_LIMIT coordinates (k*n, and n for the
+    layout when k = 0), before anything of n's size is allocated.
     """
     if not 0 <= k <= n:
         raise OutOfRangeError(f"need 0 <= k <= n, got n={n} k={k}")
     if not gauss_at_most(n, k, field.q, limit):
         raise TooLargeError(f"[{n},{k}]_{field.q} exceeds limit {limit}")
+    coords = max(k, 1) * n  # the layout is one row of n even for k = 0
+    if coords > LABEL_LIMIT:
+        raise TooLargeError(f"a {k}-subspace of F_{field.q}^{n} takes {coords} coordinates, "
+                            f"above the label limit {LABEL_LIMIT}")
     lay = lanes(field, n)
-    digits = [[x << c * lay.cw for x in lay.code] for c in range(n)]
     for pivots in itertools.combinations(range(n), k):
-        choices = []
-        for p in pivots:
-            row = [1 << p * lay.cw]
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    row = [r | d for r in row for d in digits[c]]
-            choices.append(row)
-        for rows in itertools.product(*choices):
+        choices, free, end = [], [0], n
+        for p in reversed(pivots):
+            for c in range(end - 1, p, -1):
+                free = [d | r for d in [x << c * lay.cw for x in lay.code] for r in free]
+            choices.append([1 << p * lay.cw | r for r in free])
+            end = p
+        for rows in itertools.product(*reversed(choices)):
             yield Subspace(lay, rows, pivots)

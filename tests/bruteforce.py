@@ -196,7 +196,7 @@ def balanced_separator_brute(g: Graph, size_cap: int):
 
 def subspaces_by_span_dedup(field: GF, n: int, k: int) -> set:
     """All k-subspaces as canonical forms of spans of k-subsets of nonzero
-    vectors.  Exponential; only for tiny (q, n, k)."""
+    vectors (the zero row for k = 0).  Exponential; only for tiny (q, n, k)."""
     q = field.q
     vectors = []
     for idx in range(1, q**n):
@@ -207,7 +207,7 @@ def subspaces_by_span_dedup(field: GF, n: int, k: int) -> set:
         vectors.append(tuple(vec))
     spans = set()
     for rows in combinations(vectors, k):
-        s = canonicalize(field, rows)
+        s = canonicalize(field, rows or [(0,) * n])
         if s.k == k:
             spans.add(s)
     return spans

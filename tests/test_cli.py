@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -412,6 +413,7 @@ def test_input_error_prints_one_line_without_usage(tmp_path, argv):
     ["verify", "claims", "--qmax", "9", "--nmax", "600", "--out", "{tmp}/records.csv"],
     ["solve", "--gr", "{tmp}/wide.gr", "--task", "tw"],
     ["params", "-q", str(2**521 - 1), "-n", "3", "-k", "2", "-t", "1"],
+    ["decompose", "-q", "2", "-n", "1000000", "-k", "1000000", "-t", "1", "--out", "{tmp}/d.td"],
 ])
 def test_resource_limit_prints_one_line_without_traceback(tmp_path, argv):
     (tmp_path / "wide.gr").write_text("p tw 65 1\n1 2\n")
@@ -420,6 +422,31 @@ def test_resource_limit_prints_one_line_without_traceback(tmp_path, argv):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("resource limit: ")
     assert proc.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["wide.gr"]  # nothing written
+
+
+@pytest.mark.parametrize("command", ["build", "decompose", "solve"])
+def test_one_vertex_graph_with_an_oversized_label_is_refused_at_once(
+        tmp_path, capsys, monkeypatch, command):
+    # K_2(10^6,10^6,1) has one vertex, whose label alone would take ~62 GB
+    monkeypatch.setenv("QKNESER_OUT_DIR", str(tmp_path))
+    start = time.monotonic()
+    assert main([command, "-q", "2", "-n", "1000000", "-k", "1000000", "-t", "1"]) == 3
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("resource limit: ") and "1000000000000 coordinates" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, field, value", [("build", "edges", "0"),
+                                                   ("decompose", "width", "0")])
+def test_largest_admitted_label_builds_and_decomposes_at_once(
+        tmp_path, capsys, monkeypatch, command, field, value):
+    monkeypatch.setenv("QKNESER_OUT_DIR", str(tmp_path))
+    start = time.monotonic()
+    code, out = run(capsys, command, "-q", "2", "-n", "512", "-k", "512", "-t", "1")
+    assert time.monotonic() - start < 1
+    assert code == 0 and parse(out)["vertices"] == "1" and parse(out)[field] == value
 
 
 def test_solver_cap_binds_only_the_treewidth_task(tmp_path, capsys):
@@ -568,3 +595,70 @@ def test_verify_claims_out_records_the_suite_grid(tmp_path, capsys):
     records = tmp_path / "records.csv"
     run(capsys, "verify", "claims", "--qmax", "3", "--nmax", "12", "--out", str(records))
     assert records.read_text().splitlines() == sweep_records(claims_params(3, 12))
+
+
+# ---------------------------------------------------------------------------
+# seeded argv sweep: every command, every kind of value, no escaped error
+# ---------------------------------------------------------------------------
+
+HUGE = [10**6, 10**18]
+ODD_Q = [0, 1, -3, 6, 12, 131, *HUGE]           # boundary, composite, no built-in field
+ODD_NKT = [0, -1, 6, *HUGE]                     # with the small ones: k > n and t >= k
+SWEEP_LIMIT = [-1, 0, 1, 35, 5000]              # none above the default
+SWEEP_GRID = [-1, 0, 1, 2, 3, 5, 12, *HUGE]     # --qmax and --nmax
+
+
+def sweep_params(rng):
+    """-q -n -k -t: a small valid point, each value swapped for an odd one
+    with probability 1/4, and sometimes k = n (one vertex, a long label)."""
+    t = rng.randint(1, 3)
+    k = rng.randint(t + 1, 4)
+    q, n, k, t = [rng.choice(odd) if rng.random() < 0.25 else v for v, odd in
+                  ((rng.choice([2, 3, 4, 9]), ODD_Q), (rng.randint(k, 5), ODD_NKT),
+                   (k, ODD_NKT), (t, ODD_NKT))]
+    if rng.random() < 0.15:
+        n = k = rng.choice([k, 512, 513, *HUGE])
+    return ["-q", str(q), "-n", str(n), "-k", str(k), "-t", str(t)]
+
+
+def sweep_argv(rng, tmp):
+    """One random command line; verify draws only options that keep it cheap."""
+    command = rng.choice(["params", "build", "decompose", "verify", "solve"])
+    if command == "verify":
+        suite = rng.choice(["identities", "claims", "degrees", "ekr", "separators", "td"])
+        if suite not in ("identities", "claims"):  # an option they do not take: exit 2
+            return ["verify", suite, "--qmax", "2"]
+        argv = ["verify", suite, "--qmax", str(rng.choice(SWEEP_GRID))]
+        if suite == "claims" or rng.random() < 0.2:
+            argv += ["--nmax", str(rng.choice(SWEEP_GRID))]
+        return argv
+    argv = [command]
+    if command == "solve" and rng.random() < 0.3:
+        argv += ["--gr", rng.choice([f"{tmp}/edge.gr", f"{tmp}/missing.gr"])]
+    if len(argv) == 1 or rng.random() < 0.2:
+        argv += sweep_params(rng)
+    if command != "params" and rng.random() < 0.3:
+        argv += ["--limit", str(rng.choice(SWEEP_LIMIT))]
+    if command == "solve":
+        argv += ["--task", rng.choice(["tw", "mis"]),
+                 "--budget-ms", rng.choice(["0", "50", "-1"])]
+    return argv
+
+
+def test_seeded_argv_sweep_exits_with_a_documented_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QKNESER_OUT_DIR", str(tmp_path))
+    (tmp_path / "edge.gr").write_text("p tw 2 1\n1 2\n")
+    rng = random.Random(20261022)
+    start = time.monotonic()
+    codes = set()
+    for _ in range(80):
+        argv = sweep_argv(rng, tmp_path)
+        try:
+            code = exit_code(argv)
+        except Exception as exc:
+            pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2, 3), argv
+        codes.add(code)
+        capsys.readouterr()
+    assert codes >= {0, 2, 3}
+    assert time.monotonic() - start < 10

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from bruteforce import (
 from qkneser.errors import AmbientMismatchError, EmptyMatrixError, NotPrimePowerError, TooLargeError
 from qkneser.errors import OutOfRangeError, UnsupportedFieldError
 from qkneser.gf import GF, make_field
+from qkneser import subspace
 from qkneser.qcount import gauss
 from qkneser.subspace import (
     canonicalize,
@@ -249,6 +251,46 @@ def test_enumeration_rejects_k_above_n():
 def test_enumeration_size_guard():
     with pytest.raises(TooLargeError):
         next(enumerate_subspaces(F2, 8, 4, limit=100))
+
+
+def canonical_key(s):
+    """The documented order: the pivot tuple, then the free entries in
+    row-major order, earlier columns counting slower."""
+    return s.pivot_cols, tuple(row[c] for row, p in zip(s.basis, s.pivot_cols)
+                               for c in range(p + 1, s.n) if c not in s.pivot_cols)
+
+
+@pytest.mark.parametrize("q, nmax", [(2, 4), (3, 3), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2)])
+def test_enumeration_is_the_sorted_span_dedup_oracle(q, nmax):
+    field = make_field(q)
+    for n in range(1, nmax + 1):
+        for k in range(n + 1):
+            oracle = sorted(subspaces_by_span_dedup(field, n, k), key=canonical_key)
+            assert list(enumerate_subspaces(field, n, k)) == oracle, (q, n, k)
+
+
+def test_the_one_label_of_k_equal_n_costs_its_size(monkeypatch):
+    # K_2(1000,1000) lies above the label gate: lift it to time the walk alone
+    monkeypatch.setattr(subspace, "LABEL_LIMIT", 10**6)
+    start = time.monotonic()
+    (s,) = enumerate_subspaces(F2, 1000, 1000)
+    assert time.monotonic() - start < 0.5
+    assert s.pivot_cols == tuple(range(1000))
+    assert s.rows == tuple(1 << c for c in range(1000))
+
+
+@pytest.mark.parametrize("n, k", [(513, 513), (10**6, 10**6), (10**18, 10**18), (10**6, 0)])
+def test_label_gate_refuses_before_the_layout_is_made(n, k):
+    with pytest.raises(TooLargeError, match=f"takes {max(k, 1) * n} coordinates, above "
+                                            f"the label limit {subspace.LABEL_LIMIT}"):
+        next(enumerate_subspaces(F2, n, k))
+    assert (2, n) not in subspace._LANES
+
+
+def test_label_gate_admits_k_equal_n_up_to_512():
+    for q in (2, 9):
+        (s,) = enumerate_subspaces(make_field(q), 512, 512)
+        assert s.k == 512 and s == canonicalize(make_field(q), s.basis)
 
 
 # ---------------------------------------------------------------------------
