@@ -70,7 +70,7 @@ def cmd_params(args):
 
 def cmd_build(args):
     p, report = _params(args)
-    g = build_qkneser(p, limit=args.limit)
+    g = build_qkneser(p)
     path = _out_path(args, p, "gr")
     start = time.monotonic()
     write_gr(g, path)
@@ -82,7 +82,7 @@ def cmd_build(args):
 
 def cmd_decompose(args):
     p, report = _params(args)
-    cert = star_certificate(build_qkneser(p, limit=args.limit))
+    cert = star_certificate(build_qkneser(p))
     path = _out_path(args, p, "td")
     write_td(cert.decomposition, path)
     report += [
@@ -122,7 +122,7 @@ def cmd_solve(args):
     io_ms = []
     ok = True
     # a graph above the treewidth solver's cap is refused before it is read or built
-    limit = min(args.limit, twsolve.VERTEX_CAP) if args.task == "tw" else args.limit
+    limit = twsolve.VERTEX_CAP if args.task == "tw" else VERTEX_LIMIT
     if args.gr and {args.q, args.n, args.k, args.t} == {None}:
         start = time.monotonic()
         g = read_gr(args.gr, limit=limit)
@@ -183,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "tree decompositions, verification sweeps, exact solvers.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    limit = argparse.ArgumentParser(add_help=False)
-    limit.add_argument("--limit", type=_non_negative_int, default=VERTEX_LIMIT, help="vertex limit")
 
     p_params = subs.add_parser("params", help="print formula values for (q,n,k,t)")
     p_params.set_defaults(run=cmd_params)
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("build", cmd_build, "build K_q(n,k,t) and export a .gr file"),
             ("decompose", cmd_decompose,
              "build, star-decompose from a point pencil, validate, export a .td file")):
-        p_out = subs.add_parser(name, parents=[limit], help=text)
+        p_out = subs.add_parser(name, help=text)
         p_out.set_defaults(run=run)
         _add_param_flags(p_out, required=True)
         p_out.add_argument("--out", help="output path (default derived from params)")
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--nmax", type=int, help="largest n in the sweep (claims)")
     p_ver.add_argument("--out", help="write sweep records (claims)")
 
-    p_solve = subs.add_parser("solve", parents=[limit], help="exact treewidth / independent set")
+    p_solve = subs.add_parser("solve", help="exact treewidth / independent set")
     p_solve.set_defaults(run=cmd_solve)
     _add_param_flags(p_solve, required=False)
     p_solve.add_argument("--gr", help="solve a graph loaded from a .gr file")

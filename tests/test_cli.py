@@ -42,6 +42,10 @@ def parse(out):
     return pairs
 
 
+# one vertex above graph.VERTEX_LIMIT, then a line the reader would refuse
+OVER_LIMIT_GR = "p tw 5001 1\n1 two\n"
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------
@@ -169,6 +173,25 @@ def test_suite_parameters_are_the_readme_options():
     assert documented == expected
 
 
+def test_command_options_are_the_readme_synopsis():
+    import argparse
+    import re
+
+    from qkneser.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in synopsis.splitlines():
+        if line.startswith("qkneser "):
+            options = documented[line.split()[1]] = set()
+        options |= set(re.findall(r"(?<![\w.-])--?[a-z][\w-]*", line))
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    given = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, sub in subs.choices.items()}
+    assert given == documented
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -191,15 +214,12 @@ def test_solve_tw_petersen_from_gr(tmp_path, capsys):
 
 
 def test_solve_gr_respects_vertex_limit(tmp_path, capsys):
-    from qkneser.families import petersen_graph
-    from qkneser.graph import write_gr
-
-    gr = tmp_path / "petersen.gr"
-    write_gr(petersen_graph(), gr)
-    code = main(["solve", "--gr", str(gr), "--task", "mis", "--limit", "5"])
+    gr = tmp_path / "over.gr"
+    gr.write_text(OVER_LIMIT_GR)
+    code = main(["solve", "--gr", str(gr), "--task", "mis"])
     captured = capsys.readouterr()
     assert code == 3
-    assert "10 vertices exceed vertex limit 5" in captured.err
+    assert "over.gr:1: 5001 vertices exceed vertex limit 5000" in captured.err
     assert captured.out == ""
 
 
@@ -449,6 +469,56 @@ def test_largest_admitted_label_builds_and_decomposes_at_once(
     assert code == 0 and parse(out)["vertices"] == "1" and parse(out)[field] == value
 
 
+def test_the_fixed_gates_bound_every_admitted_build():
+    # every (q, n, k) that build, decompose and solve admit, walked by formula:
+    # a built-in field, 2 <= k <= n, [n,k]_q <= VERTEX_LIMIT and k*n <= LABEL_LIMIT.
+    # A graph of V vertices holds V^2/8 bytes of rows and V*k*n*cw/8 of labels.
+    from qkneser.errors import QKneserError, TooLargeError
+    from qkneser.gf import make_field
+    from qkneser.graph import VERTEX_LIMIT
+    from qkneser.qcount import gauss, gauss_at_most
+    from qkneser.subspace import LABEL_LIMIT, enumerate_subspaces, lanes
+
+    fields = []
+    for q in range(2, 129):
+        try:
+            fields.append(make_field(q))
+        except QKneserError:
+            pass
+    assert len(fields) == 44
+    start = time.monotonic()
+    rows, labels = {}, {}
+    for field in fields:
+        admitted, refused = [], []
+        n = 2
+        while n * n <= LABEL_LIMIT:  # k = n: one vertex, only the label gate binds
+            admitted.append((n, n))
+            n += 1
+        refused.append((n, n))
+        k = 2
+        while gauss_at_most(k + 1, k, field.q, VERTEX_LIMIT):
+            n = k + 1
+            while gauss_at_most(n, k, field.q, VERTEX_LIMIT) and k * n <= LABEL_LIMIT:
+                admitted.append((n, k))
+                n += 1
+            refused.append((n, k))
+            k += 1
+        refused.append((k + 1, k))
+        cw = lanes(field, 1).cw
+        for n, k in admitted:
+            v = gauss(n, k, field.q)
+            rows[field.q, n, k] = v * v // 8
+            labels[field.q, n, k] = v * k * n * cw // 8
+        for n, k in refused:  # the walk stops where the enumeration's gates do
+            with pytest.raises(TooLargeError):
+                next(enumerate_subspaces(field, n, k, VERTEX_LIMIT))
+    assert max(rows, key=rows.get) == (8, 4, 2) and gauss(4, 2, 8) == 4745
+    assert max(rows.values()) == 2_814_378 <= 3 * 2**20
+    assert max(labels, key=labels.get) == (81, 512, 512)
+    assert max(labels.values()) == 393_216 <= 2**19
+    assert time.monotonic() - start < 1
+
+
 def test_solver_cap_binds_only_the_treewidth_task(tmp_path, capsys):
     gr = tmp_path / "wide.gr"
     gr.write_text("p tw 65 1\n1 2\n")
@@ -509,9 +579,8 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["verify", "degrees", "--qmax", "3"], 2),
     (["verify", "identities", "--nmax", "5"], 2),
     (["verify", "td", "--out", "{tmp}/records.csv"], 2),
-    (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "34",
-      "--out", "{tmp}/g.gr"], 3),
-    (["solve", "--gr", "{tmp}/bad.gr", "--limit", "2"], 3),        # header checked first
+    (["build", "-q", "4", "-n", "5", "-k", "2", "-t", "1", "--out", "{tmp}/g.gr"], 3),  # 5,797
+    (["solve", "--gr", "{tmp}/over.gr", "--task", "mis"], 3),      # header checked first
     (["solve", "--gr", "{tmp}/latin1.gr"], 2),                     # not UTF-8
     (["solve", "--gr", "{tmp}/latin1_late.gr", "--task", "mis"], 2),  # in a later batch
     (["verify", "identities", "--qmax", "1"], 2),                  # empty grid
@@ -519,7 +588,7 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["verify", "claims", "--nmax", "3"], 2),
     (["solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--budget-ms", "-1"], 2),
     (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "-1",
-      "--out", "{tmp}/g.gr"], 2),                                  # not a resource limit
+      "--out", "{tmp}/g.gr"], 2),                                  # not an option
     (["params", "-q", "6", "-n", "7", "-k", "2", "-t", "1"], 2),   # no field of order 6
     (["params", "-q", "131", "-n", "7", "-k", "2", "-t", "1"], 0),  # prime; params builds no field
     (["params", "-q", str(10**14 + 31), "-n", "7", "-k", "2", "-t", "1"], 0),  # a large prime
@@ -536,17 +605,33 @@ def test_gr_io_time_is_reported_just_before_elapsed_ms(tmp_path, capsys, task):
     (["verify", "claims", "--qmax", "9", "--nmax", "600"], 3),
     (["verify", "identities", "--qmax", "1284"], 3),
     (["verify", "claims", "--qmax", "1", "--nmax", "1000000000"], 2),  # empty comes first
+    # no option raises the vertex gate
+    (["build", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "5000"], 2),
+    (["decompose", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "5000"], 2),
+    (["solve", "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", "5000"], 2),
 ])
 def test_exit_code_contract(tmp_path, capsys, argv, expected):
     (tmp_path / "edge.gr").write_text("p tw 2 1\n1 2\n")
     (tmp_path / "bad.gr").write_text("p tw 3 1\n1 two\n")
     (tmp_path / "latin1.gr").write_bytes(b"p tw 3 1\n1 2\xff\n")
     (tmp_path / "latin1_late.gr").write_bytes(b"p tw 2 1\n" + b"1 2\n" * 10000 + b"2 1\xff\n")
+    (tmp_path / "over.gr").write_text(OVER_LIMIT_GR)
+    inputs = sorted(tmp_path.iterdir())
     assert exit_code([a.format(tmp=tmp_path) for a in argv]) == expected
     out = capsys.readouterr().out
     # a usage, input or resource error prints no report
     assert ("command=" in out) == (expected < 2)
-    assert not (tmp_path / "records.csv").exists()
+    assert sorted(tmp_path.iterdir()) == inputs  # no command in the table writes a file
+
+
+@pytest.mark.parametrize("command, value", [("build", "-1"), ("build", "5000"),
+                                            ("decompose", "5000"), ("solve", "5000")])
+def test_limit_is_not_an_option(capsys, command, value):
+    # the vertex and label gates are fixed; no option raises them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-q", "2", "-n", "4", "-k", "2", "-t", "1", "--limit", value])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: --limit {value}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, points", [
@@ -604,7 +689,7 @@ def test_verify_claims_out_records_the_suite_grid(tmp_path, capsys):
 HUGE = [10**6, 10**18]
 ODD_Q = [0, 1, -3, 6, 12, 131, *HUGE]           # boundary, composite, no built-in field
 ODD_NKT = [0, -1, 6, *HUGE]                     # with the small ones: k > n and t >= k
-SWEEP_LIMIT = [-1, 0, 1, 35, 5000]              # none above the default
+SWEEP_LIMIT = [-1, 0, 1, 35, 5000, 10**18]      # not an option: exit 2 at any value
 SWEEP_GRID = [-1, 0, 1, 2, 3, 5, 12, *HUGE]     # --qmax and --nmax
 
 
@@ -658,6 +743,7 @@ def test_seeded_argv_sweep_exits_with_a_documented_code(tmp_path, capsys, monkey
         except Exception as exc:
             pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
         assert code in (0, 1, 2, 3), argv
+        assert code == 2 or "--limit" not in argv, argv
         codes.add(code)
         capsys.readouterr()
     assert codes >= {0, 2, 3}

@@ -1,11 +1,15 @@
-"""Degree and EKR checks on instances above the default vertex limit.
+"""Degree and EKR checks on instances above the default vertex limit, and
+the largest graph the CLI admits.
 
 The meet-layer builder makes graphs of ~11,000 vertices cheap enough for
-the test suite; each is built with an explicit limit.
+the test suite; each is built through the library with an explicit limit.
 """
+
+import time
 
 import pytest
 
+from qkneser.cli import main
 from qkneser.ekr import is_independent, point_pencil
 from qkneser.graph import build_qkneser
 from qkneser.qcount import Params, degree_formula, gauss
@@ -28,3 +32,14 @@ def test_degrees_and_point_pencil_at_scale(p):
     pencil = point_pencil(g, unit_subspace(p.q, p.n, p.t))
     assert pencil.bit_count() == gauss(p.n - p.t, p.k - p.t, p.q)
     assert is_independent(g, pencil)
+
+
+def test_largest_admitted_graph_decomposes(tmp_path, capsys):
+    # K_8(4,2,1) has the most vertices of any build under graph.VERTEX_LIMIT;
+    # its build and star certificate take ~0.15 s on a 2-core machine
+    start = time.monotonic()
+    assert main(["decompose", "-q", "8", "-n", "4", "-k", "2", "-t", "1",
+                 "--out", str(tmp_path / "d.td")]) == 0
+    assert time.monotonic() - start < 2
+    out = capsys.readouterr().out.splitlines()
+    assert "vertices=4745" in out and "width_matches_formula=within_window" in out
